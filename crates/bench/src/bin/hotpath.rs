@@ -28,7 +28,8 @@ use urcgc_bench::hotpath::{
 };
 use urcgc_metrics::Json;
 use urcgc_simnet::FaultPlan;
-use urcgc_types::{decode_pdu, FrameCache, Pdu, ProcessId};
+use urcgc_types::wire::{frame_checksum, FRAME_TRAILER_LEN};
+use urcgc_types::{decode_pdu, encode_pdu, fnv1a_32, FrameCache, Pdu, ProcessId};
 
 /// Counts heap allocations so the codec section reports *measured* rather
 /// than modeled allocation economics. Reallocation counts as one fresh
@@ -507,6 +508,27 @@ fn main() {
         let encode_mb_per_sec = (frames * frame_len) as f64 / 1e6 / (encode_nanos as f64 / 1e9);
         let decode_mb_per_sec = (frames * frame_len) as f64 / 1e6 / (decode_nanos as f64 / 1e9);
 
+        // The trailer kernel against the byte-serial hash it replaced, over
+        // the same 4 KiB frame body. Nanoseconds depend on the machine; CI
+        // gates the ratio.
+        let big = encode_pdu(&Pdu::data(sample_msg(4096)));
+        let body = &big[..big.len() - FRAME_TRAILER_LEN];
+        let per_call = |hash: fn(&[u8]) -> u32| {
+            let nanos = time_nanos(
+                3,
+                || (),
+                |()| {
+                    for _ in 0..frames {
+                        std::hint::black_box(hash(std::hint::black_box(body)));
+                    }
+                },
+            );
+            nanos as f64 / frames as f64
+        };
+        let fnv1a_4k_nanos = per_call(fnv1a_32);
+        let checksum_4k_nanos = per_call(frame_checksum);
+        let checksum_speedup = fnv1a_4k_nanos / checksum_4k_nanos.max(f64::MIN_POSITIVE);
+
         const FANOUT_N: usize = 100;
         let expected_bytes = fanout_deep(&msg, FANOUT_N);
         let (deep_allocs, _) = count_allocs(|| fanout_deep(&msg, FANOUT_N));
@@ -523,6 +545,10 @@ fn main() {
         );
         println!(
             "codec            frame={frame_len:<4} encode {encode_mb_per_sec:>8.0} MB/s   decode {decode_mb_per_sec:>8.0} MB/s   fanout n={FANOUT_N}: {deep_allocs} vs {shared_allocs} allocs ({alloc_reduction:.0}x)"
+        );
+        println!(
+            "codec checksum   body={:<5} fnv1a {fnv1a_4k_nanos:>7.0} ns   kernel {checksum_4k_nanos:>7.0} ns   ({checksum_speedup:.1}x)",
+            body.len()
         );
         benches.push(
             Json::obj()
@@ -541,6 +567,9 @@ fn main() {
                         .with("decode_nanos", decode_nanos)
                         .with("encode_mb_per_sec", encode_mb_per_sec)
                         .with("decode_mb_per_sec", decode_mb_per_sec)
+                        .with("fnv1a_4k_nanos", fnv1a_4k_nanos)
+                        .with("checksum_4k_nanos", checksum_4k_nanos)
+                        .with("checksum_speedup", checksum_speedup)
                         .with("deep_allocs", deep_allocs)
                         .with("shared_allocs", shared_allocs)
                         .with("alloc_reduction", alloc_reduction),

@@ -434,9 +434,10 @@ impl SoakReport {
     }
 }
 
-/// The full soak fault plan: background omissions at the paper's 1/500
-/// rate, one slow sender (process 1, +2 rounds), and process `n-1`
-/// crashing a third of the way through the expected run.
+/// The full soak fault plan: one slow sender (process 1, +2 rounds) and
+/// process `n-1` crashing a third of the way through the expected run.
+/// The omissions the protocol has to recover from are the crashed
+/// member's in-flight tail; the plan sets no background omission rate.
 pub fn soak_faults(n: usize, msgs_per_proc: u64) -> FaultPlan {
     baseline_soak_faults().crash_at(ProcessId((n - 1) as u16), Round(msgs_per_proc.max(30) / 3))
 }

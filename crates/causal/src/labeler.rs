@@ -107,13 +107,14 @@ impl Labeler {
         }
         if mid.seq == self.latest[i] + 1 {
             self.latest[i] = mid.seq;
-            loop {
-                let next = Mid::new(mid.origin, self.latest[i] + 1);
-                if self.known_extra.remove(&next) {
-                    self.latest[i] += 1;
-                } else {
-                    break;
-                }
+            // In-order processing leaves `known_extra` empty; checking
+            // that first spares hashing a mid per processed message.
+            while !self.known_extra.is_empty()
+                && self
+                    .known_extra
+                    .remove(&Mid::new(mid.origin, self.latest[i] + 1))
+            {
+                self.latest[i] += 1;
             }
         } else if mid.seq > self.latest[i] {
             self.known_extra.insert(mid);

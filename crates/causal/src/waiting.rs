@@ -110,6 +110,11 @@ impl WaitingList {
     /// wakes it in turn (the urcgc engine drives this cascade wave by wave,
     /// re-sorting each wave, which reproduces the rescan release order).
     pub fn wake(&mut self, mid: Mid) -> Vec<Arc<DataMsg>> {
+        // Nothing parked is the common case; it must not cost a hash of
+        // `mid` per processed message.
+        if self.dependents.is_empty() {
+            return Vec::new();
+        }
         let Some(watchers) = self.dependents.remove(&mid) else {
             return Vec::new();
         };

@@ -8,13 +8,18 @@
 //! permutation, both implementations release exactly the same messages in
 //! exactly the same order, report the same `oldest_waiting` values, the
 //! same `blocking_mids`, and discard the same transitive-dependent sets.
+//!
+//! `WaitingList::wake` and `Labeler::note_processed` return before hashing
+//! the mid when their tables are empty — the common state. The epoch test
+//! below drives the list through empty and populated states in turn and
+//! holds both to the same oracles.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use urcgc_causal::{DeliveryTracker, RescanWaitingList, WaitingList};
-use urcgc_types::{DataMsg, Mid, ProcessId, Round};
+use urcgc_causal::{DeliveryTracker, Labeler, RescanWaitingList, WaitingList};
+use urcgc_types::{CausalityMode, DataMsg, Mid, ProcessId, Round};
 
 const N_ORIGINS: u16 = 4;
 
@@ -26,6 +31,12 @@ fn mid(p: u16, s: u64) -> Mid {
 /// including occasional deps on mids that are never generated (standing in
 /// for messages lost on the wire — those keep entries parked forever).
 fn arb_batch(n_msgs: usize) -> impl Strategy<Value = Vec<(Mid, Vec<Mid>)>> {
+    arb_batch_losing(n_msgs, 38) // ~15% of messages dep on a lost mid
+}
+
+/// [`arb_batch`] with `lost_below`/256 of the messages depending on a mid
+/// that is never sent; 0 makes every message eventually deliverable.
+fn arb_batch_losing(n_msgs: usize, lost_below: u8) -> impl Strategy<Value = Vec<(Mid, Vec<Mid>)>> {
     prop::collection::vec(
         (
             0u16..N_ORIGINS,
@@ -34,11 +45,11 @@ fn arb_batch(n_msgs: usize) -> impl Strategy<Value = Vec<(Mid, Vec<Mid>)>> {
         ),
         1..n_msgs,
     )
-    .prop_map(|specs| {
+    .prop_map(move |specs| {
         let mut out: Vec<(Mid, Vec<Mid>)> = Vec::new();
         let mut next_seq = [0u64; N_ORIGINS as usize];
         for (i, (p, dep_picks, lost_roll)) in specs.into_iter().enumerate() {
-            let lost_dep = lost_roll < 38; // ~15% of messages dep on a lost mid
+            let lost_dep = lost_roll < lost_below;
             next_seq[p as usize] += 1;
             let m = mid(p, next_seq[p as usize]);
             let mut deps: Vec<Mid> = if out.is_empty() {
@@ -83,6 +94,73 @@ fn data(m: Mid, deps: &[Mid]) -> Arc<DataMsg> {
     })
 }
 
+/// Feeds `arrivals` to the indexed list the way the engine does (wave-based
+/// wake cascade) and returns the mids in processing order.
+fn drive_indexed(
+    arrivals: &[(Mid, Vec<Mid>)],
+    tracker: &mut DeliveryTracker,
+    waiting: &mut WaitingList,
+) -> Vec<Mid> {
+    let mut processed = Vec::new();
+    for (m, deps) in arrivals {
+        let msg = data(*m, deps);
+        if tracker.deliverable(&msg.deps) {
+            if tracker.mark_processed(msg.mid) {
+                processed.push(msg.mid);
+            }
+            let mut wave = waiting.wake(msg.mid);
+            while !wave.is_empty() {
+                let mut next = Vec::new();
+                for r in wave {
+                    if tracker.mark_processed(r.mid) {
+                        processed.push(r.mid);
+                    }
+                    next.extend(waiting.wake(r.mid));
+                }
+                next.sort_by_key(|x| x.mid);
+                wave = next;
+            }
+        } else {
+            let t = &*tracker;
+            assert!(waiting.park(msg, |d| t.is_processed(d)));
+        }
+    }
+    processed
+}
+
+/// The same arrivals through the rescan list (`release_ready` fixpoint, the
+/// engine's old loop).
+fn drive_rescan(
+    arrivals: &[(Mid, Vec<Mid>)],
+    tracker: &mut DeliveryTracker,
+    waiting: &mut RescanWaitingList,
+) -> Vec<Mid> {
+    let mut processed = Vec::new();
+    for (m, deps) in arrivals {
+        let msg = data(*m, deps);
+        if tracker.deliverable(&msg.deps) {
+            if tracker.mark_processed(msg.mid) {
+                processed.push(msg.mid);
+            }
+            loop {
+                let t = &*tracker;
+                let ready = waiting.release_ready(|d| t.is_processed(d));
+                if ready.is_empty() {
+                    break;
+                }
+                for r in ready {
+                    if tracker.mark_processed(r.mid) {
+                        processed.push(r.mid);
+                    }
+                }
+            }
+        } else {
+            waiting.park(msg);
+        }
+    }
+    processed
+}
+
 proptest! {
     /// Feed the same arrival permutation through both implementations,
     /// driving each exactly the way the engine does (indexed: wave-based
@@ -95,62 +173,11 @@ proptest! {
     ) {
         let order = shuffled(batch.len(), shuffle_seed);
 
-        // Indexed implementation, wave-based drain (engine's new loop).
-        let mut t_new = DeliveryTracker::new(N_ORIGINS as usize);
-        let mut w_new = WaitingList::new();
-        let mut order_new: Vec<Mid> = Vec::new();
-        for &ix in &order {
-            let (m, deps) = &batch[ix];
-            let msg = data(*m, deps);
-            if t_new.deliverable(&msg.deps) {
-                if t_new.mark_processed(msg.mid) {
-                    order_new.push(msg.mid);
-                }
-                let mut wave = w_new.wake(msg.mid);
-                while !wave.is_empty() {
-                    let mut next = Vec::new();
-                    for r in wave {
-                        if t_new.mark_processed(r.mid) {
-                            order_new.push(r.mid);
-                        }
-                        next.extend(w_new.wake(r.mid));
-                    }
-                    next.sort_by_key(|x| x.mid);
-                    wave = next;
-                }
-            } else {
-                let t = &t_new;
-                prop_assert!(w_new.park(msg, |d| t.is_processed(d)));
-            }
-        }
-
-        // Rescan implementation, release_ready fixpoint (engine's old loop).
-        let mut t_old = DeliveryTracker::new(N_ORIGINS as usize);
-        let mut w_old = RescanWaitingList::new();
-        let mut order_old: Vec<Mid> = Vec::new();
-        for &ix in &order {
-            let (m, deps) = &batch[ix];
-            let msg = data(*m, deps);
-            if t_old.deliverable(&msg.deps) {
-                if t_old.mark_processed(msg.mid) {
-                    order_old.push(msg.mid);
-                }
-                loop {
-                    let t = &t_old;
-                    let ready = w_old.release_ready(|d| t.is_processed(d));
-                    if ready.is_empty() {
-                        break;
-                    }
-                    for r in ready {
-                        if t_old.mark_processed(r.mid) {
-                            order_old.push(r.mid);
-                        }
-                    }
-                }
-            } else {
-                w_old.park(msg);
-            }
-        }
+        let arrivals: Vec<_> = order.iter().map(|&ix| batch[ix].clone()).collect();
+        let (mut t_new, mut w_new) = (DeliveryTracker::new(N_ORIGINS as usize), WaitingList::new());
+        let order_new = drive_indexed(&arrivals, &mut t_new, &mut w_new);
+        let (mut t_old, mut w_old) = (DeliveryTracker::new(N_ORIGINS as usize), RescanWaitingList::new());
+        let order_old = drive_rescan(&arrivals, &mut t_old, &mut w_old);
 
         // Same releases, same order — the determinism oracle.
         prop_assert_eq!(&order_new, &order_old);
@@ -174,6 +201,74 @@ proptest! {
             w_new.blocking_mids(|d| tn.is_processed(d)),
             w_old.blocking_mids(|d| to.is_processed(d))
         );
+    }
+
+    /// Epochs of fully deliverable batches: the list fills and runs empty
+    /// again and again, so `wake` meets an empty reverse index (its early
+    /// return) between populated stretches, and a labeler fed the release
+    /// order meets an empty and a populated out-of-order set in turn.
+    /// Release order must still equal the rescan order, and the labeler
+    /// must know exactly the mids it was told of.
+    #[test]
+    fn release_order_survives_the_tables_running_empty(
+        epochs in prop::collection::vec((arb_batch_losing(12, 0), any::<u64>()), 1..5),
+    ) {
+        let n = N_ORIGINS as usize + 1;
+        let (mut t_new, mut w_new) = (DeliveryTracker::new(n), WaitingList::new());
+        let (mut t_old, mut w_old) = (DeliveryTracker::new(n), RescanWaitingList::new());
+        let mut labeler = Labeler::new(ProcessId(N_ORIGINS), n, CausalityMode::General);
+        let mut temporal = Labeler::new(ProcessId(N_ORIGINS), n, CausalityMode::Temporal);
+        let mut base = [0u64; N_ORIGINS as usize];
+        let mut sent: Vec<Mid> = Vec::new();
+        let mut noted: std::collections::HashSet<Mid> = Default::default();
+        for (batch, shuffle_seed) in epochs {
+            // Shift the epoch's seqs past everything sent so far.
+            let lift = |m: &Mid| mid(m.origin.0, m.seq + base[m.origin.index()]);
+            let batch: Vec<(Mid, Vec<Mid>)> = batch
+                .iter()
+                .map(|(m, deps)| (lift(m), deps.iter().map(lift).collect()))
+                .collect();
+            for (m, _) in &batch {
+                base[m.origin.index()] = base[m.origin.index()].max(m.seq);
+            }
+            sent.extend(batch.iter().map(|(m, _)| *m));
+            let arrivals: Vec<_> = shuffled(batch.len(), shuffle_seed)
+                .into_iter()
+                .map(|ix| batch[ix].clone())
+                .collect();
+
+            let order_new = drive_indexed(&arrivals, &mut t_new, &mut w_new);
+            let order_old = drive_rescan(&arrivals, &mut t_old, &mut w_old);
+            prop_assert_eq!(&order_new, &order_old);
+            prop_assert_eq!(order_new.len(), batch.len(), "nothing depends on a lost mid");
+            prop_assert!(w_new.is_empty() && w_old.is_empty());
+            prop_assert!(w_new.wake(mid(0, 1)).is_empty(), "wake on an empty list");
+
+            for m in order_new {
+                labeler.note_processed(m);
+                temporal.note_processed(m);
+                noted.insert(m);
+                // Temporal labels name the end of each origin's gap-free
+                // prefix, which an out-of-order arrival must extend through
+                // everything noted ahead of it.
+                let prefix_ends: Vec<Mid> = (0..N_ORIGINS)
+                    .filter_map(|p| {
+                        (1..)
+                            .map(|s| mid(p, s))
+                            .take_while(|m| noted.contains(m))
+                            .last()
+                    })
+                    .collect();
+                prop_assert_eq!(temporal.clone().label(&[]).unwrap().1, prefix_ends);
+                for probe in &sent {
+                    prop_assert_eq!(
+                        labeler.clone().label(&[*probe]).is_ok(),
+                        noted.contains(probe),
+                        "labeler wrong about {} after {}", probe, m
+                    );
+                }
+            }
+        }
     }
 
     /// Orphan destruction removes the same transitive set from both

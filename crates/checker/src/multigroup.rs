@@ -103,7 +103,9 @@ pub struct MultigroupReport {
     pub deliveries: u64,
     /// Enveloped frames handed to node demux (per destination).
     pub frames: u64,
-    /// Wall-clock for the sharded run (excludes oracle evaluation).
+    /// Wall-clock for the sharded run, per-group oracle evaluation
+    /// included (each shard checks its groups before it returns); only the
+    /// run-wide genuineness check falls outside.
     pub wall_secs: f64,
     /// Aggregate delivery throughput, `deliveries / wall_secs`.
     pub agg_msgs_per_sec: f64,

@@ -328,9 +328,9 @@ impl Engine {
     ///
     /// Structurally invalid PDUs — fields naming processes outside the
     /// group, vectors of the wrong width — are silently dropped: a
-    /// corrupted (the wire codec has no checksum; real datagram stacks do,
-    /// but bit flips can also survive them) or hostile frame must never be
-    /// able to panic or corrupt a group member.
+    /// hostile frame, or a corrupted one that slipped past the frame
+    /// trailer's checksum (callers that build `Pdu`s themselves never ran
+    /// it), must never be able to panic or corrupt a group member.
     pub fn on_pdu(&mut self, from: ProcessId, pdu: Pdu) {
         if !self.status.is_active() || !self.pdu_is_well_formed(&pdu) {
             return;

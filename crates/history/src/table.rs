@@ -271,7 +271,7 @@ impl History {
     /// settles the table-wide `live`/`bytes` gauges from the report.
     fn purge_origin(&mut self, q: usize, upto: u64, report: &mut PurgeReport) {
         let entry = &mut self.entries[q];
-        entry.purged_to = upto;
+        let prev = std::mem::replace(&mut entry.purged_to, upto);
         // Segments covering only sequences <= upto: all indexes below
         // upto / SPAN (segment `i` ends at (i+1) * SPAN).
         let first_kept = upto / SEGMENT_SPAN;
@@ -296,7 +296,16 @@ impl History {
         // exact multiple of the span.
         if !upto.is_multiple_of(SEGMENT_SPAN) {
             if let Some(seg) = entry.segments.get_mut(&first_kept) {
-                for slot in &mut seg.slots[..=seg_slot(upto)] {
+                // Slots at or below the previous frontier are already
+                // empty (`save` refuses them), so a frontier creeping
+                // through one segment resumes where it stopped instead of
+                // rescanning the segment from slot 0 on every decision.
+                let resume = if prev / SEGMENT_SPAN == first_kept {
+                    (prev % SEGMENT_SPAN) as usize
+                } else {
+                    0
+                };
+                for slot in &mut seg.slots[resume..=seg_slot(upto)] {
                     if let Some(m) = slot.take() {
                         seg.live -= 1;
                         report.messages += 1;

@@ -1,6 +1,6 @@
 //! Datagram fragmentation and reassembly for engine frames.
 //!
-//! An engine frame (an encoded [`Pdu`](urcgc_types::Pdu) with its FNV
+//! An engine frame (an encoded [`Pdu`](urcgc_types::Pdu) with its checksum
 //! trailer) can exceed a UDP datagram's safe size — a recovery reply
 //! carries whole message bodies, a decision grows with `n`. The runtime
 //! therefore ships **every** frame as one or more [`TFrame::Data`]

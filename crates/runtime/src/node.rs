@@ -53,7 +53,12 @@ use crate::frag::{Fragmenter, Reassembler};
 /// Magic first byte of the startup-barrier hello (never a valid PDU tag or
 /// transport-frame tag).
 const HELLO: u8 = 0xFF;
-/// Hello datagram: `[HELLO, pid_lo, pid_hi]`.
+/// First byte of the answer a member past its barrier gives to a hello.
+/// Inside a barrier it counts as presence like a hello; it is never itself
+/// answered — answering hellos with hellos made two members past their
+/// barriers echo each other for ever.
+const HELLO_ACK: u8 = 0xFE;
+/// Hello / hello-ack datagram: `[tag, pid_lo, pid_hi]`.
 const HELLO_LEN: usize = 3;
 /// How often the barrier re-bursts hellos.
 const HELLO_BURST_EVERY: Duration = Duration::from_millis(40);
@@ -540,16 +545,16 @@ pub fn workload_quiescent(engine: &Engine, submitted: u64, budget: u64) -> bool 
     })
 }
 
-fn hello(me: ProcessId) -> [u8; HELLO_LEN] {
+fn hello(tag: u8, me: ProcessId) -> [u8; HELLO_LEN] {
     let [lo, hi] = me.0.to_le_bytes();
-    [HELLO, lo, hi]
+    [tag, lo, hi]
 }
 
-fn parse_hello(buf: &[u8]) -> Option<ProcessId> {
-    if buf.len() == HELLO_LEN && buf[0] == HELLO {
-        Some(ProcessId(u16::from_le_bytes([buf[1], buf[2]])))
-    } else {
-        None
+/// Parses a hello or hello-ack: its tag and the member announcing itself.
+fn parse_hello(buf: &[u8]) -> Option<(u8, ProcessId)> {
+    match *buf {
+        [tag @ (HELLO | HELLO_ACK), lo, hi] => Some((tag, ProcessId(u16::from_le_bytes([lo, hi])))),
+        _ => None,
     }
 }
 
@@ -564,7 +569,7 @@ fn peek_src(buf: &[u8]) -> Option<ProcessId> {
 fn hello_burst(socket: &UdpSocket, me: ProcessId, peers: &[SocketAddr], net: &NetCounters) {
     for (i, addr) in peers.iter().enumerate() {
         if i != me.index() {
-            let _ = socket.send_to(&hello(me), addr);
+            let _ = socket.send_to(&hello(HELLO, me), addr);
             net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -576,10 +581,11 @@ fn hello_burst(socket: &UdpSocket, me: ProcessId, peers: &[SocketAddr], net: &Ne
 /// attempt counters start ticking, or a late starter is declared crashed
 /// before it boots (the paper has no rejoin). Every member bursts hello
 /// datagrams at all peers until it has heard *something* from each of them
-/// (a hello or live protocol traffic), with a deadline so a genuinely dead
-/// peer cannot wedge startup forever. After the barrier, a member answers
-/// any stray hello directly — under packet loss a peer may still be stuck
-/// in its own barrier, and the answer is what releases it.
+/// (a hello, a hello-ack or live protocol traffic), with a deadline so a
+/// genuinely dead peer cannot wedge startup forever. After the barrier, a
+/// member answers any stray hello with a hello-ack — under packet loss a
+/// peer may still be stuck in its own barrier, and the answer is what
+/// releases it. Hello-acks are never answered.
 fn receiver_loop(
     socket: UdpSocket,
     me: ProcessId,
@@ -601,7 +607,7 @@ fn receiver_loop(
         match socket.recv_from(&mut buf) {
             Ok((len, _)) => {
                 net.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                if let Some(from) = parse_hello(&buf[..len]) {
+                if let Some((_, from)) = parse_hello(&buf[..len]) {
                     seen.insert(from);
                 } else {
                     // A peer past its barrier is already talking protocol:
@@ -636,11 +642,12 @@ fn receiver_loop(
                     net.dropped_loss.fetch_add(1, Ordering::Relaxed);
                     continue; // injected omission
                 }
-                if let Some(from) = parse_hello(&buf[..len]) {
-                    // A peer still inside its startup barrier: answer so it
-                    // can complete even when its own hellos are being lost.
-                    if from != me && from.index() < peers.len() {
-                        let _ = socket.send_to(&hello(me), peers[from.index()]);
+                if let Some((tag, from)) = parse_hello(&buf[..len]) {
+                    // A hello may come from a peer still inside its startup
+                    // barrier: answer so it can complete even when its own
+                    // hellos are being lost.
+                    if tag == HELLO && from != me && from.index() < peers.len() {
+                        let _ = socket.send_to(&hello(HELLO_ACK, me), peers[from.index()]);
                         net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
                     }
                     continue;
@@ -937,8 +944,10 @@ mod tests {
 
     #[test]
     fn hello_codec_roundtrip() {
-        let h = hello(ProcessId(513));
-        assert_eq!(parse_hello(&h), Some(ProcessId(513)));
+        for tag in [HELLO, HELLO_ACK] {
+            let h = hello(tag, ProcessId(513));
+            assert_eq!(parse_hello(&h), Some((tag, ProcessId(513))));
+        }
         assert_eq!(parse_hello(&[HELLO, 1]), None, "short datagrams rejected");
         assert_eq!(parse_hello(&[0xD1, 0, 0]), None, "data tag is not a hello");
     }

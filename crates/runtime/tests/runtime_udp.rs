@@ -165,6 +165,12 @@ fn status_snapshot_and_stats_answer_over_the_command_channel() {
     assert_eq!(stats.processed, 1);
 
     // The runtime's own counters moved too: rounds ticked, datagrams flowed.
+    // (Member 0 can deliver before its own first round: a tick that fires
+    // inside the startup barrier is dropped, the next is a period away.)
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while group.handle(0).net_stats().rounds == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     let net = group.handle(0).net_stats();
     assert!(net.rounds > 0, "round ticker never fired");
     assert!(net.datagrams_rx > 0, "no datagrams received");
@@ -310,4 +316,104 @@ fn quiescence_predicate_reports_group_wide_completion() {
     }
     assert!(all, "the group never reached workload quiescence");
     group.shutdown();
+}
+
+#[test]
+fn idle_group_sends_only_protocol_traffic_after_the_barrier() {
+    // Members past their barrier used to answer hellos with hellos, so any
+    // two of them echoed each other for ever (thousands of datagrams per
+    // second, both receiver threads spinning). An idle, lossless group must
+    // put nothing on the wire but its rounds' requests and decisions.
+    let n = 5;
+    let cfg = ProtocolConfig::new(n);
+    let mut group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 61).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !(0..n).all(|m| group.handle(m).net_stats().rounds > 0) {
+        assert!(Instant::now() < deadline, "the barrier never completed");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    // Parting hello bursts and their acks are sent within a few round
+    // trips of the barrier; let them land.
+    std::thread::sleep(Duration::from_millis(200));
+
+    let before: Vec<_> = (0..n).map(|m| group.handle(m).net_stats()).collect();
+    std::thread::sleep(Duration::from_secs(1));
+    let after: Vec<_> = (0..n).map(|m| group.handle(m).net_stats()).collect();
+
+    let grew = |f: fn(&urcgc_runtime::NetStats) -> u64| -> u64 {
+        after.iter().zip(&before).map(|(a, b)| f(a) - f(b)).sum()
+    };
+    let rounds = grew(|s| s.rounds);
+    let sent = grew(|s| s.datagrams_tx);
+    assert!(rounds > 0 && sent > 0, "the group stopped");
+    // The most an idle engine sends in one round is a decision to its n-1
+    // peers (measured: about 1.1 datagrams per member-round; the echo ran
+    // at several hundred). `n * n` absorbs answers to frames of the round
+    // before the window.
+    assert!(
+        sent <= rounds * (n as u64 - 1) + (n * n) as u64,
+        "{sent} datagrams in {rounds} member-rounds: not protocol traffic"
+    );
+    assert_eq!(grew(|s| s.malformed), 0);
+    group.shutdown();
+}
+
+#[test]
+fn a_member_past_its_barrier_acks_hellos_and_never_answers_acks() {
+    // The test plays member 1 of a two-member group by hand on a raw
+    // socket, as a peer whose view of member 0 was lost: stuck in its
+    // barrier, it keeps sending hellos, and the answer must release it.
+    const HELLO: u8 = 0xFF;
+    const HELLO_ACK: u8 = 0xFE;
+    let sock0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+    peer.set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let addrs = vec![sock0.local_addr().unwrap(), peer.local_addr().unwrap()];
+    let (handle, shutdown) = spawn_member_on(
+        sock0,
+        ProcessId(0),
+        addrs.clone(),
+        ProtocolConfig::new(2),
+        NodeOptions::default().round_duration(Duration::from_millis(4)),
+    )
+    .unwrap();
+
+    // Everything member 0 sends the peer within `window` that is a hello
+    // or a hello-ack (engine traffic is skipped).
+    let greetings = |window: Duration| -> Vec<[u8; 3]> {
+        let until = Instant::now() + window;
+        let mut buf = [0u8; 2048];
+        let mut got = Vec::new();
+        while Instant::now() < until {
+            if let Ok((3, _)) = peer.recv_from(&mut buf) {
+                got.push([buf[0], buf[1], buf[2]]);
+            }
+        }
+        got
+    };
+
+    // One hello completes member 0's barrier; wait for its first round.
+    peer.send_to(&[HELLO, 1, 0], addrs[0]).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while handle.net_stats().rounds == 0 {
+        assert!(Instant::now() < deadline, "the barrier never completed");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    greetings(Duration::from_millis(100)); // barrier-time hellos, discarded
+
+    peer.send_to(&[HELLO, 1, 0], addrs[0]).unwrap();
+    assert_eq!(
+        greetings(Duration::from_millis(300)),
+        vec![[HELLO_ACK, 0, 0]],
+        "a hello after the barrier is answered by exactly one ack"
+    );
+    peer.send_to(&[HELLO_ACK, 1, 0], addrs[0]).unwrap();
+    assert_eq!(
+        greetings(Duration::from_millis(300)),
+        Vec::<[u8; 3]>::new(),
+        "an ack must never be answered"
+    );
+    drop(handle);
+    shutdown.shutdown();
 }

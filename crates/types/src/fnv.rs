@@ -1,12 +1,18 @@
 //! The one FNV-1a implementation in the workspace.
 //!
-//! Frame trailers, relay-header checksums, cross-member order digests, and
-//! the golden-document digests all use FNV-1a — it is tiny, allocation-free,
-//! and deterministic across platforms, which is all an *integrity* (not
-//! adversarial) checksum needs under the paper's general-omission failure
-//! model. Before this module each site hand-rolled its own copy of the
-//! constants; they now all share these two hashers so a transcription slip
-//! can never fork the wire format from the oracles.
+//! The self-checking headers (group `0x67`, relay `0xE7`), the
+//! cross-member order digests and the golden-document digests all use
+//! FNV-1a — it is tiny, allocation-free, and deterministic across
+//! platforms, which is all an *integrity* (not adversarial) checksum needs
+//! under the paper's general-omission failure model. Before this module
+//! each site hand-rolled its own copy of the constants; they now all share
+//! these two hashers so a transcription slip can never fork the wire
+//! format from the oracles.
+//!
+//! FNV-1a pays one dependent multiply per byte, which is nothing over a
+//! 5–15 byte header and too much over a whole frame: the PDU frame trailer
+//! uses the word-parallel kernel in [`wire`](crate::wire::frame_checksum)
+//! instead.
 //!
 //! Both widths use the standard parameters:
 //!
@@ -24,7 +30,7 @@ pub const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
 pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// One-shot 32-bit FNV-1a over `bytes` (frame trailers, header checksums).
+/// One-shot 32-bit FNV-1a over `bytes` (header checksums).
 pub fn fnv1a_32(bytes: &[u8]) -> u32 {
     let mut h = Fnv32::new();
     h.update(bytes);

@@ -44,7 +44,18 @@ pub trait WireDecode: Sized {
 /// Bytes the frame trailer adds on top of [`WireEncode::encoded_len`].
 pub const FRAME_TRAILER_LEN: usize = 4;
 
-/// FNV-1a over the frame body — the integrity trailer.
+/// Odd multiplier of every checksum step (the 32-bit golden-ratio prime):
+/// `x -> x * CHECKSUM_MUL` is a bijection on `u32`.
+const CHECKSUM_MUL: u32 = 0x9E37_79B1;
+/// Distinct non-zero lane seeds, so an all-zero body does not leave the
+/// lanes at zero and equal words in different lanes do not look alike.
+const CHECKSUM_LANES: [u32; 4] = [0x811C_9DC5, 0x85EB_CA77, 0xC2B2_AE3D, 0x27D4_EB2F];
+/// Lane rotation per step: moves the product's top bits, which a
+/// multiply never diffuses, down to where the next multiply spreads them.
+const CHECKSUM_ROT: u32 = 13;
+
+/// The integrity trailer: a word-parallel multiply-xor checksum of the
+/// frame body.
 ///
 /// Under the paper's **general omission** failure model a packet is either
 /// delivered intact or lost; real datagram stacks enforce this with
@@ -53,8 +64,47 @@ pub const FRAME_TRAILER_LEN: usize = 4;
 /// entry so the whole group chases a phantom recovery target until every
 /// member exhausts its `R` budget. The trailer turns corruption back into
 /// the omission the model expects.
-fn frame_checksum(body: &[u8]) -> u32 {
-    crate::fnv::fnv1a_32(body)
+///
+/// The guard runs over every byte of every frame, twice (encode, decode),
+/// so it is built for throughput: the body is read as little-endian `u32`
+/// words, 16 bytes per step, into four independent lanes (a byte-serial
+/// hash pays one dependent multiply per *byte*). The lanes are folded
+/// together, the sub-16-byte tail goes in byte by byte, the body length
+/// goes in last.
+///
+/// Every step is `(state ^ input) * odd`, then a rotation — a bijection of
+/// the state for a fixed input *and* of the input for a fixed state. So a
+/// corruption confined to one aligned word of the body, or to one tail
+/// byte (every single-bit flip is one or the other), changes exactly one
+/// lane or one tail step, and the change survives every later step: it is
+/// always rejected, not just with probability `1 - 2^-32`. Wider
+/// corruption, truncation and padding are caught with that probability;
+/// the length step makes two bodies of different lengths differ even
+/// where the lanes and tail alone would have agreed (zero words into a
+/// zero lane). It is a checksum, not a CRC or a MAC: nothing is promised
+/// about chosen errors, and flips in two words of one lane can cancel.
+///
+/// The length wraps at `u32`; frames are bounded far below that.
+pub fn frame_checksum(body: &[u8]) -> u32 {
+    let step = |state: u32, input: u32| {
+        (state ^ input)
+            .wrapping_mul(CHECKSUM_MUL)
+            .rotate_left(CHECKSUM_ROT)
+    };
+    let mut lanes = CHECKSUM_LANES;
+    let mut blocks = body.chunks_exact(16);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(4)) {
+            let word = u32::from_le_bytes(word.try_into().expect("4-byte chunk"));
+            *lane = step(*lane, word);
+        }
+    }
+    let mut sum = lanes.into_iter().fold(0, step);
+    for &byte in blocks.remainder() {
+        sum = step(sum, u32::from(byte));
+    }
+    sum = step(sum, body.len() as u32);
+    sum ^ (sum >> 15)
 }
 
 /// Appends the framed encoding of `pdu` (body + checksum trailer) to `buf`.
