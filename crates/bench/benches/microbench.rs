@@ -24,7 +24,7 @@ fn sample_request(n: usize) -> Pdu {
         subrun: Subrun(9),
         last_processed: (0..n as u64).collect(),
         waiting: vec![NO_SEQ; n],
-        prev_decision: Decision::genesis(n),
+        prev_decision: std::sync::Arc::new(Decision::genesis(n)),
         forwarded: false,
     })
 }

@@ -6,8 +6,10 @@
 //! deep-clone-per-destination fan-out emulation), the PR 3 calendar-queue
 //! scheduler scenarios, and the zero-copy **codec** section (encode/decode
 //! throughput plus real heap-allocation counts for the n=100 fan-out,
-//! measured by a counting global allocator), and emits one JSON document
-//! so future PRs can diff performance trajectories per commit.
+//! measured by a counting global allocator), and the **control-plane**
+//! section (heap allocations per member-subrun of the request → decision
+//! exchange), and emits one JSON document so future PRs can diff
+//! performance trajectories per commit.
 //!
 //! Run:   `cargo run --release -p urcgc-bench --bin hotpath -- --json BENCH.json`
 //! Smoke: `... --bin hotpath -- --profile smoke --json smoke.json`
@@ -20,6 +22,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use urcgc_bench::hotpath::{
     allocs_avoided, chain, chatter_group, codec_roundtrip, deep_clone_bytes, drain_indexed,
     drain_rescan, fanout_cached, fanout_deep, fanout_shared, flat_filled, history_filled,
@@ -29,7 +32,9 @@ use urcgc_bench::hotpath::{
 use urcgc_metrics::Json;
 use urcgc_simnet::FaultPlan;
 use urcgc_types::wire::{frame_checksum, FRAME_TRAILER_LEN};
-use urcgc_types::{decode_pdu, encode_pdu, fnv1a_32, FrameCache, Pdu, ProcessId};
+use urcgc_types::{
+    decode_pdu, encode_pdu, fnv1a_32, FrameCache, Pdu, ProcessId, ProtocolConfig, Round, Subrun,
+};
 
 /// Counts heap allocations so the codec section reports *measured* rather
 /// than modeled allocation economics. Reallocation counts as one fresh
@@ -60,6 +65,112 @@ fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = ALLOCS.load(Ordering::Relaxed);
     let out = f();
     (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// Heap allocations of one subrun of the control plane, per call.
+struct ControlPlaneAllocs {
+    /// A member's request round: build the request, encode its frame.
+    request_build: u64,
+    /// The coordinator decoding and recording one member's request.
+    request_receipt: u64,
+    /// The coordinator's decision round: compute, broadcast, adopt.
+    decide: u64,
+    /// A member adopting the decision it has decoded.
+    adoption: u64,
+}
+
+/// What a request build may cost: the two `n`-wide vectors the request
+/// owns, its `Box<Pdu>`, and the encoded frame. The carried decision is a
+/// handle, so a fifth allocation is a deep copy coming back.
+const REQUEST_BUILD_ALLOCS: u64 = 4;
+
+/// One engine's round, its single control frame encoded (if it sent one).
+fn control_round(e: &mut urcgc::Engine, cache: &mut FrameCache, round: Round) -> Option<Bytes> {
+    e.begin_round(round);
+    let mut frame = None;
+    while let Some(out) = e.poll_output() {
+        match out {
+            urcgc::Output::Send { pdu, .. } => frame = Some(cache.encode(&pdu)),
+            urcgc::Output::Broadcast { pdu } => frame = Some(cache.encode(&pdu)),
+            _ => {}
+        }
+    }
+    frame
+}
+
+/// One idle subrun of a group exchanging encoded frames; returns the
+/// allocations of each request build, each request receipt, the decision
+/// round of the coordinator, and each adoption.
+fn control_subrun(
+    engines: &mut [urcgc::Engine],
+    cache: &mut FrameCache,
+    subrun: Subrun,
+) -> [Vec<u64>; 4] {
+    let coordinator = ProcessId::coordinator_for(subrun, engines.len());
+    let mut requests = Vec::new();
+    let mut build = Vec::new();
+    for e in engines.iter_mut() {
+        let (allocs, frame) = count_allocs(|| control_round(e, cache, subrun.request_round()));
+        // The coordinator records its own request without sending one.
+        if let Some(frame) = frame {
+            build.push(allocs);
+            requests.push((e.me(), frame));
+        }
+    }
+    let mut receipt = Vec::new();
+    for (from, frame) in &requests {
+        let (allocs, result) = count_allocs(|| engines[coordinator.index()].on_frame(*from, frame));
+        result.expect("own frame decodes");
+        receipt.push(allocs);
+    }
+    let mut decide = Vec::new();
+    let mut decision = None;
+    for e in engines.iter_mut() {
+        let (allocs, frame) = count_allocs(|| control_round(e, cache, subrun.decision_round()));
+        if e.me() == coordinator {
+            decide.push(allocs);
+            decision = frame;
+        }
+    }
+    let decision = decision.expect("the coordinator decides every subrun");
+    let mut adoption = Vec::new();
+    for e in engines.iter_mut().filter(|e| e.me() != coordinator) {
+        let pdu = decode_pdu(&decision).expect("own frame decodes");
+        let applied = e.stats().decisions_applied;
+        let (allocs, ()) = count_allocs(|| e.on_pdu(coordinator, pdu));
+        assert_eq!(e.stats().decisions_applied, applied + 1, "not adopted");
+        adoption.push(allocs);
+    }
+    [build, receipt, decide, adoption]
+}
+
+/// Counts the allocations of one steady-state subrun of an idle group of
+/// `n >= 2`, stage by stage. Every member pays the same count (asserted),
+/// so the per-call figures are exact.
+fn control_plane(n: usize) -> ControlPlaneAllocs {
+    const WARM_SUBRUNS: u64 = 4;
+    let cfg = ProtocolConfig::new(n);
+    let mut engines: Vec<urcgc::Engine> = (0..n)
+        .map(|i| urcgc::Engine::new(ProcessId::from_index(i), cfg.clone()))
+        .collect();
+    let mut cache = FrameCache::new();
+    for s in 0..WARM_SUBRUNS {
+        control_subrun(&mut engines, &mut cache, Subrun(s));
+    }
+    let stages = control_subrun(&mut engines, &mut cache, Subrun(WARM_SUBRUNS));
+    let [request_build, request_receipt, decide, adoption] = stages.map(|counts| {
+        assert!(
+            counts.windows(2).all(|w| w[0] == w[1]),
+            "allocations differ between members: {counts:?}"
+        );
+        counts[0]
+    });
+    ControlPlaneAllocs {
+        request_build,
+        request_receipt,
+        decide,
+        adoption,
+    }
 }
 
 const HELP: &str = "\
@@ -573,6 +684,39 @@ fn main() {
                         .with("deep_allocs", deep_allocs)
                         .with("shared_allocs", shared_allocs)
                         .with("alloc_reduction", alloc_reduction),
+                ),
+        );
+    }
+
+    // 8. Control plane: exact heap-allocation counts of the request →
+    //    decision exchange. A decision is shared, never copied: adopting
+    //    one allocates nothing and a request carries a handle to it.
+    for n in [3, 40] {
+        let allocs = control_plane(n);
+        assert_eq!(
+            allocs.adoption, 0,
+            "adopting a decoded decision must not allocate (n={n})"
+        );
+        assert!(
+            allocs.request_build <= REQUEST_BUILD_ALLOCS,
+            "request build allocates {} times, recorded {REQUEST_BUILD_ALLOCS} (n={n})",
+            allocs.request_build
+        );
+        println!(
+            "control_plane    n={n:<4} allocs: request build+encode {}   receipt/request {}   decide {}   adoption {}",
+            allocs.request_build, allocs.request_receipt, allocs.decide, allocs.adoption
+        );
+        benches.push(
+            Json::obj()
+                .with("name", "control_plane")
+                .with("params", Json::obj().with("n", n))
+                .with(
+                    "metrics",
+                    Json::obj()
+                        .with("request_build_allocs", allocs.request_build)
+                        .with("request_receipt_allocs", allocs.request_receipt)
+                        .with("decide_allocs", allocs.decide)
+                        .with("adoption_allocs", allocs.adoption),
                 ),
         );
     }

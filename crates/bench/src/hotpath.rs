@@ -329,7 +329,7 @@ pub fn recovery_storm(n: usize, per_origin: u64, batched: bool) -> StormOutcome 
             seq: per_origin,
         };
     }
-    lagger.on_pdu(ProcessId(0), Pdu::Decision(d));
+    lagger.on_pdu(ProcessId(0), Pdu::decision(d));
     lagger.begin_round(Round(3)); // decision round → attempt_recovery
 
     let mut outcome = StormOutcome {

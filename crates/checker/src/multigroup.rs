@@ -325,6 +325,11 @@ fn run_shard(spec: &MultigroupSpec, shard: usize, shards: usize) -> ShardOutcome
             node.join(id, cfg.clone()).expect("fresh group table");
         }
         let active = is_active(spec, gid);
+        let log_len = if active {
+            spec.msgs_per_group as usize
+        } else {
+            0
+        };
         // Scatter active groups' start rounds over a modest window so the
         // cross-group workload overlaps rather than marching in lockstep.
         let start_round = mix(spec.seed ^ 0xA5A5, gid) % 64;
@@ -334,7 +339,10 @@ fn run_shard(spec: &MultigroupSpec, shard: usize, shards: usize) -> ShardOutcome
             start_round,
             submitted: 0,
             submitted_by: vec![0; spec.members],
-            logs: vec![Vec::new(); spec.members],
+            // Sized up front: the run times the nodes, not log regrowth.
+            logs: (0..spec.members)
+                .map(|_| Vec::with_capacity(log_len))
+                .collect(),
             latest_foreign: vec![None; spec.members],
             submit_round: HashMap::new(),
         });
@@ -362,11 +370,14 @@ fn run_shard(spec: &MultigroupSpec, shard: usize, shards: usize) -> ShardOutcome
     // Frames sent during round r arrive at the start of round r+1 — a
     // one-round network, so delivery latency is measured in protocol
     // rounds rather than collapsing to zero inside a synchronous exchange.
+    // Two buffers swapped each round, so neither is regrown from empty.
     let mut wire: Vec<(usize, ProcessId, Bytes)> = Vec::new();
+    let mut arriving: Vec<(usize, ProcessId, Bytes)> = Vec::new();
     let mut round: u64 = 0;
     while round < spec.max_rounds {
         // Deliver last round's frames.
-        for (dest, from, frame) in std::mem::take(&mut wire) {
+        std::mem::swap(&mut wire, &mut arriving);
+        for (dest, from, frame) in arriving.drain(..) {
             out.frames += 1;
             let want = group_of(&frame).ok();
             let got = nodes[dest].on_frame(from, &frame);

@@ -53,8 +53,10 @@ pub struct Engine {
     waiting: WaitingList,
     history: History,
     flow: FlowControl,
-    /// Most recent decision applied (starts at genesis).
-    last_decision: Decision,
+    /// Most recent decision applied (starts at genesis). The allocation is
+    /// the one the decision arrived in (or was computed into); outgoing
+    /// requests and the coordinator's matrix share it.
+    last_decision: Arc<Decision>,
     /// Subrun of the most recently applied decision, used for the
     /// missed-K-decisions exit rule. `None` until the first decision.
     last_decision_subrun: Option<Subrun>,
@@ -102,7 +104,7 @@ impl Engine {
             waiting: WaitingList::new(),
             history: History::new(n),
             flow,
-            last_decision: Decision::genesis(n),
+            last_decision: Arc::new(Decision::genesis(n)),
             last_decision_subrun: None,
             matrix: None,
             request_stash: Vec::new(),
@@ -473,7 +475,8 @@ impl Engine {
     }
 
     /// Sends this subrun's request to the rotating coordinator (or records
-    /// it directly when we are the coordinator).
+    /// it directly when we are the coordinator). Either way the previous
+    /// decision travels as a handle to the allocation the engine holds.
     fn send_request(&mut self, subrun: Subrun) {
         let Some(coordinator) = self.view.next_live_coordinator(subrun) else {
             // Nobody alive to coordinate: the group is gone.
@@ -483,8 +486,7 @@ impl Engine {
         let last_processed = self.tracker.last_processed_vector();
         let waiting = self.waiting.waiting_vector(self.cfg.n);
         if coordinator == self.me {
-            // Self-contribution: no request message is materialized, and the
-            // previous decision is only cloned if the matrix keeps it.
+            // Self-contribution: no request message is materialized.
             let mut matrix = StabilityMatrix::new(self.cfg.n);
             let mut delta = matrix.record(self.me, last_processed, waiting, &self.last_decision);
             // Fold in stashed straggler/forwarded requests that are still
@@ -509,7 +511,7 @@ impl Engine {
                     subrun,
                     last_processed,
                     waiting,
-                    prev_decision: self.last_decision.clone(),
+                    prev_decision: Arc::clone(&self.last_decision),
                     forwarded: false,
                 })),
             });
@@ -525,7 +527,9 @@ impl Engine {
         if s != subrun {
             return;
         }
-        let decision = matrix.compute(subrun, self.me, self.cfg.k, &self.last_decision);
+        // Built into its shared allocation once: the broadcast and our own
+        // adoption below are handles to it.
+        let decision = Arc::new(matrix.compute(subrun, self.me, self.cfg.k, &self.last_decision));
         // The accumulated delta can drive this decision's purge directly —
         // but only when it provably describes the same purge the stable
         // vector would: the delta claims exactness, its baseline matches
@@ -555,14 +559,10 @@ impl Engine {
                     .all(|(q, &s)| s <= covered[q])
             };
         self.stats.decisions_made += 1;
-        let pdu = Arc::new(Pdu::Decision(decision));
         self.outbox.push_back(Output::Broadcast {
-            pdu: Arc::clone(&pdu),
+            pdu: Arc::new(Pdu::Decision(Arc::clone(&decision))),
         });
-        let Pdu::Decision(decision) = &*pdu else {
-            unreachable!("just built")
-        };
-        self.apply_decision_inner(decision, if hint_ok { Some(&delta) } else { None });
+        self.apply_decision_inner(&decision, if hint_ok { Some(&delta) } else { None });
     }
 
     // ------------------------------------------------------------------
@@ -705,16 +705,16 @@ impl Engine {
 
     /// Adopts `d` if it is newer than the current decision; applies history
     /// cleaning, view updates, suicide, and orphan destruction. Returns
-    /// whether it was adopted. Takes a reference and clones only on
-    /// adoption, so the common stale/duplicate case copies nothing.
-    fn apply_decision(&mut self, d: &Decision) -> bool {
+    /// whether it was adopted. Adoption keeps a handle to `d`'s allocation;
+    /// a decision is never copied, adopted or not.
+    fn apply_decision(&mut self, d: &Arc<Decision>) -> bool {
         self.apply_decision_inner(d, None)
     }
 
     /// [`Engine::apply_decision`] with an optional purge hint: the
     /// coordinator's accumulated [`StabilityDelta`], passed only when
     /// `coordinator_decide` has proven it equivalent to `d.stable`.
-    fn apply_decision_inner(&mut self, d: &Decision, hint: Option<&StabilityDelta>) -> bool {
+    fn apply_decision_inner(&mut self, d: &Arc<Decision>, hint: Option<&StabilityDelta>) -> bool {
         // "Newer" is judged against the last *applied* decision; before any
         // decision has been applied, even a subrun-0 decision supersedes
         // the synthetic genesis value the engine boots with. Carried
@@ -734,7 +734,7 @@ impl Engine {
 
         if !d.process_state[self.me.index()] {
             // The group has declared us crashed: commit suicide.
-            self.last_decision = d.clone();
+            self.last_decision = Arc::clone(d);
             self.transition(ProcessStatus::Suicided, StatusReason::DeclaredCrashed);
             return true;
         }
@@ -774,7 +774,7 @@ impl Engine {
                     .push_back(Output::Discarded { mids: doomed_all });
             }
         }
-        self.last_decision = d.clone();
+        self.last_decision = Arc::clone(d);
         true
     }
 
@@ -966,7 +966,7 @@ mod tests {
                         Output::Broadcast { pdu } => {
                             for j in 0..engines.len() {
                                 if j != i {
-                                    // Shallow: Pdu::Data carries an Arc.
+                                    // Shallow: data and decisions are behind Arcs.
                                     engines[j].on_pdu(me, Pdu::clone(&pdu));
                                 }
                             }
@@ -1128,7 +1128,7 @@ mod tests {
         let mut d = Decision::genesis(N);
         d.subrun = Subrun(3);
         d.process_state[1] = false;
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::decision(d));
         assert_eq!(e.status(), ProcessStatus::Suicided);
         let mut saw = false;
         while let Some(o) = e.poll_output() {
@@ -1175,11 +1175,11 @@ mod tests {
         let mut e = Engine::new(ProcessId(0), cfg());
         let mut newer = Decision::genesis(N);
         newer.subrun = Subrun(5);
-        assert!(e.apply_decision(&newer));
+        assert!(e.apply_decision(&Arc::new(newer)));
         let mut stale = Decision::genesis(N);
         stale.subrun = Subrun(2);
         stale.process_state[0] = false; // malicious staleness
-        assert!(!e.apply_decision(&stale));
+        assert!(!e.apply_decision(&Arc::new(stale)));
         assert_eq!(e.status(), ProcessStatus::Active);
     }
 
@@ -1202,7 +1202,7 @@ mod tests {
             holder: ProcessId(1),
             seq: 2,
         };
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::decision(d));
         // Decision round triggers the recovery ask.
         e.begin_round(Round(3));
         let mut asked = None;
@@ -1290,7 +1290,7 @@ mod tests {
             holder: ProcessId(0),
             seq: 1,
         };
-        lagger.on_pdu(ProcessId(0), Pdu::Decision(d));
+        lagger.on_pdu(ProcessId(0), Pdu::decision(d));
         lagger.begin_round(Round(3));
         let mut batch_rqs = Vec::new();
         while let Some(o) = lagger.poll_output() {
@@ -1339,7 +1339,7 @@ mod tests {
             holder: ProcessId(0),
             seq: 1,
         };
-        e.on_pdu(ProcessId(0), Pdu::Decision(d));
+        e.on_pdu(ProcessId(0), Pdu::decision(d));
         e.begin_round(Round(3));
         let mut rqs = 0;
         while let Some(o) = e.poll_output() {
@@ -1401,7 +1401,7 @@ mod tests {
                 holder: ProcessId(1),
                 seq: 2,
             };
-            e.on_pdu(ProcessId(1), Pdu::Decision(d));
+            e.on_pdu(ProcessId(1), Pdu::decision(d));
             e.begin_round(Subrun(s).request_round());
             e.begin_round(Subrun(s).decision_round());
             while let Some(o) = e.poll_output() {
@@ -1452,7 +1452,7 @@ mod tests {
             seq: 1,
         };
         d.min_waiting[0] = 3;
-        e.on_pdu(ProcessId(2), Pdu::Decision(d));
+        e.on_pdu(ProcessId(2), Pdu::decision(d));
         assert_eq!(e.gauges().waiting_len, 0, "orphan suffix destroyed");
         let mut discarded = Vec::new();
         while let Some(o) = e.poll_output() {
@@ -1487,7 +1487,7 @@ mod tests {
         let mut d = Decision::genesis(N);
         d.subrun = Subrun(1);
         d.stable = vec![1, 0, 0];
-        e.on_pdu(ProcessId(1), Pdu::Decision(d));
+        e.on_pdu(ProcessId(1), Pdu::decision(d));
         assert_eq!(e.gauges().history_len, 0);
         e.begin_round(Round(2));
         assert_eq!(e.gauges().pending_len, 0, "unblocked after cleaning");

@@ -78,7 +78,7 @@ fn decision_of_wrong_width_is_ignored() {
     let mut d = Decision::genesis(7); // wrong group size
     d.subrun = Subrun(5);
     d.process_state[0] = false; // would otherwise kill us
-    e.on_pdu(ProcessId(1), Pdu::Decision(d));
+    e.on_pdu(ProcessId(1), Pdu::decision(d));
     assert_eq!(e.status(), ProcessStatus::Active);
     assert_eq!(e.last_decision().subrun, Subrun(0));
 }
@@ -89,10 +89,10 @@ fn duplicate_decision_is_idempotent() {
     let mut d = Decision::genesis(3);
     d.subrun = Subrun(2);
     d.stable = vec![0, 0, 0];
-    e.on_pdu(ProcessId(1), Pdu::Decision(d.clone()));
+    e.on_pdu(ProcessId(1), Pdu::decision(d.clone()));
     let applied_once = e.stats().decisions_applied;
-    e.on_pdu(ProcessId(1), Pdu::Decision(d.clone()));
-    e.on_pdu(ProcessId(2), Pdu::Decision(d));
+    e.on_pdu(ProcessId(1), Pdu::decision(d.clone()));
+    e.on_pdu(ProcessId(2), Pdu::decision(d));
     assert_eq!(e.stats().decisions_applied, applied_once);
 }
 
@@ -110,7 +110,7 @@ fn request_for_foreign_subrun_still_circulates_its_decision() {
         subrun: Subrun(10),
         last_processed: vec![0; 3],
         waiting: vec![NO_SEQ; 3],
-        prev_decision: carried,
+        prev_decision: std::sync::Arc::new(carried),
         forwarded: false,
     };
     e.on_pdu(ProcessId(2), Pdu::Request(req));
@@ -179,7 +179,7 @@ fn inputs_after_suicide_are_inert() {
     let mut d = Decision::genesis(3);
     d.subrun = Subrun(1);
     d.process_state[1] = false;
-    e.on_pdu(ProcessId(0), Pdu::Decision(d));
+    e.on_pdu(ProcessId(0), Pdu::decision(d));
     assert_eq!(e.status(), ProcessStatus::Suicided);
     let _ = drain(&mut e);
     // Everything after death is ignored.
@@ -230,7 +230,7 @@ fn stale_decision_cannot_unclean_history() {
     let mut d = Decision::genesis(2);
     d.subrun = Subrun(5);
     d.stable = vec![0, 3];
-    e.on_pdu(ProcessId(1), Pdu::Decision(d));
+    e.on_pdu(ProcessId(1), Pdu::decision(d));
     assert_eq!(e.gauges().history_len, 0);
     // A late re-arrival of message 2 must not re-enter the history.
     e.on_pdu(ProcessId(1), data(1, 2, vec![Mid::new(ProcessId(1), 1)]));
@@ -258,7 +258,7 @@ fn future_decision_is_adopted_monotonically() {
     for s in [3u64, 7, 5, 9] {
         let mut d = Decision::genesis(3);
         d.subrun = Subrun(s);
-        e.on_pdu(ProcessId(1), Pdu::Decision(d));
+        e.on_pdu(ProcessId(1), Pdu::decision(d));
     }
     assert_eq!(e.last_decision().subrun, Subrun(9));
     assert_eq!(e.stats().decisions_applied, 3, "3, 7, 9 applied; 5 stale");
@@ -276,7 +276,7 @@ fn max_processed_pointing_at_self_never_self_recovers() {
         holder: ProcessId(1),
         seq: 4,
     };
-    e.on_pdu(ProcessId(0), Pdu::Decision(d));
+    e.on_pdu(ProcessId(0), Pdu::decision(d));
     e.begin_round(Round(3)); // decision phase triggers recovery scan
     let sends: Vec<Output> = drain(&mut e)
         .into_iter()

@@ -85,10 +85,10 @@ fn wild_pdu() -> impl Strategy<Value = Pdu> {
                 subrun: Subrun(subrun),
                 last_processed: lp,
                 waiting: w,
-                prev_decision: d,
+                prev_decision: std::sync::Arc::new(d),
                 forwarded: false,
             })),
-        wild_decision().prop_map(Pdu::Decision),
+        wild_decision().prop_map(Pdu::decision),
         (wild_pid(), wild_pid(), any::<u64>(), any::<u64>()).prop_map(
             |(requester, origin, a, b)| Pdu::RecoveryRq(RecoveryRq {
                 requester,

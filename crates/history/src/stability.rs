@@ -19,6 +19,9 @@
 //! * **orphan detection** — `min_waiting[q]`: the group-wide oldest waiting
 //!   sequence number per origin.
 
+use std::borrow::Borrow;
+use std::sync::Arc;
+
 use urcgc_types::{Decision, MaxProcessed, ProcessId, Subrun, NO_SEQ};
 
 /// One member's contribution to the current subrun.
@@ -95,8 +98,9 @@ pub struct StabilityMatrix {
     contributions: Vec<Option<Contribution>>,
     /// The freshest previous decision seen in any request (decision
     /// circulation: with resilience `t = (n−1)/2` at least one copy of the
-    /// previous decision reaches the current coordinator).
-    freshest_prev: Option<Decision>,
+    /// previous decision reaches the current coordinator). Shared with the
+    /// request (or engine) it arrived in.
+    freshest_prev: Option<Arc<Decision>>,
     delta: Option<DeltaAcc>,
 }
 
@@ -118,20 +122,26 @@ impl StabilityMatrix {
 
     /// Records `sender`'s request. Later duplicates (retransmissions)
     /// overwrite earlier ones — `last_processed` is monotone so the newest
-    /// copy is the most informative. The carried previous decision is cloned
-    /// only when it is the freshest seen so far; stale copies (the common
-    /// case — every member carries the same previous decision) cost nothing.
+    /// copy is the most informative. The carried previous decision is kept
+    /// only when it is the freshest seen so far. The engine passes the
+    /// `&Arc<Decision>` it holds, so keeping one is a refcount bump; a caller
+    /// with a plain `&Decision` pays one deep copy for the kept one. Stale
+    /// copies (the common case — every member carries the same previous
+    /// decision) cost nothing either way.
     ///
     /// Returns the [`StabilityDelta`] this contribution unlocked: empty
     /// while coverage of the baseline's alive set is incomplete, then the
     /// per-origin ranges by which the group-stable frontier advanced.
-    pub fn record(
+    pub fn record<D>(
         &mut self,
         sender: ProcessId,
         last_processed: Vec<u64>,
         waiting: Vec<u64>,
-        prev_decision: &Decision,
-    ) -> StabilityDelta {
+        prev_decision: &D,
+    ) -> StabilityDelta
+    where
+        D: Borrow<Decision> + Clone + Into<Arc<Decision>>,
+    {
         assert_eq!(last_processed.len(), self.n, "last_processed width");
         assert_eq!(waiting.len(), self.n, "waiting width");
         let overwrite = self.contributions[sender.index()].is_some();
@@ -141,10 +151,10 @@ impl StabilityMatrix {
         });
         let fresher = match &self.freshest_prev {
             None => true,
-            Some(cur) => prev_decision.is_newer_than(cur),
+            Some(cur) => prev_decision.borrow().is_newer_than(cur),
         };
         if fresher {
-            self.freshest_prev = Some(prev_decision.clone());
+            self.freshest_prev = Some(prev_decision.clone().into());
         }
         match self.delta.as_mut() {
             Some(acc) if !fresher && !overwrite => {
@@ -270,7 +280,7 @@ impl StabilityMatrix {
 
     /// The freshest previous decision carried by any contributor, if any.
     pub fn freshest_prev(&self) -> Option<&Decision> {
-        self.freshest_prev.as_ref()
+        self.freshest_prev.as_deref()
     }
 
     /// Computes this subrun's decision.
@@ -291,7 +301,7 @@ impl StabilityMatrix {
         k: u32,
         fallback_prev: &Decision,
     ) -> Decision {
-        let prev = match &self.freshest_prev {
+        let prev = match self.freshest_prev.as_deref() {
             Some(p) if p.is_newer_than(fallback_prev) => p,
             _ => fallback_prev,
         };
@@ -592,6 +602,17 @@ mod tests {
         // include its stable values.
         let d = m.compute(Subrun(6), pid(0), 3, &genesis);
         assert_eq!(d.stable, vec![3, 3]);
+    }
+
+    #[test]
+    fn shared_prev_decision_is_kept_without_a_copy() {
+        let shared = Arc::new(Decision::genesis(2));
+        let mut m = StabilityMatrix::new(2);
+        m.record(pid(0), vec![1, 1], vec![NO_SEQ; 2], &shared);
+        m.record(pid(1), vec![1, 1], vec![NO_SEQ; 2], &shared);
+        let kept = m.freshest_prev().expect("baseline kept");
+        assert!(std::ptr::eq(kept, &*shared), "the matrix deep-copied");
+        assert_eq!(Arc::strong_count(&shared), 2, "kept once, not per record");
     }
 
     #[test]

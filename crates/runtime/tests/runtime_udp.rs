@@ -94,7 +94,13 @@ fn explicit_cross_member_dependency_respected_on_sockets() {
 fn heavy_loss_converges_via_history_recovery() {
     // 25% receive loss at every member: most broadcasts lose at least one
     // destination, so convergence demonstrably depends on recovery.
-    let cfg = ProtocolConfig::new(3).with_k(3).with_f_allowance(3);
+    //
+    // K is sized from that loss rate. The group declares a member crashed
+    // once K consecutive requests of its fail to reach a coordinator; each
+    // is dropped with probability 1/4, so any one window of K subruns
+    // removes a member with probability 4^-K. That is 1.6 % at K = 3 — the
+    // rate at which this test used to fail — and 10^-6 at K = 10.
+    let cfg = ProtocolConfig::new(3).with_k(10).with_f_allowance(3);
     let mut group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.25, 31).unwrap();
     let mut expected = HashSet::new();
     for k in 0..8u8 {
@@ -109,6 +115,10 @@ fn heavy_loss_converges_via_history_recovery() {
         let got = drain_until(group.handle(m), expected.len(), 30);
         let set: HashSet<Mid> = got.iter().copied().collect();
         assert_eq!(set, expected, "member {m} failed to converge under loss");
+    }
+    for m in 0..3 {
+        let status = group.handle(m).status().unwrap();
+        assert!(status.is_active(), "member {m} ended {status:?}");
     }
     group.shutdown();
 }

@@ -148,11 +148,11 @@ fn arb_pdu() -> impl Strategy<Value = Pdu> {
                     subrun: Subrun(subrun),
                     last_processed: lp,
                     waiting: w,
-                    prev_decision: d,
+                    prev_decision: std::sync::Arc::new(d),
                     forwarded: fwd,
                 })
             ),
-        arb_decision().prop_map(Pdu::Decision),
+        arb_decision().prop_map(Pdu::decision),
         (arb_pid(), arb_pid(), 0u64..100, 0u64..100).prop_map(
             |(requester, origin, after_seq, delta)| Pdu::RecoveryRq(RecoveryRq {
                 requester,

@@ -44,8 +44,10 @@ pub struct RequestMsg {
     /// process's waiting list ([`crate::id::NO_SEQ`] if none; length `n`).
     pub waiting: Vec<u64>,
     /// The most recent decision this process received — how decisions
-    /// reliably circulate from coordinator `c−1` to coordinator `c`.
-    pub prev_decision: Decision,
+    /// reliably circulate from coordinator `c−1` to coordinator `c`. Shared
+    /// with the sender's engine: a decision is immutable once computed, so
+    /// carrying it costs a refcount bump.
+    pub prev_decision: Arc<Decision>,
     /// Whether this request has already been forwarded once by an
     /// ex-coordinator (straggler absorption; prevents forwarding loops).
     pub forwarded: bool,
@@ -134,8 +136,11 @@ pub enum Pdu {
     Data(Arc<DataMsg>),
     /// Member → coordinator subrun request.
     Request(RequestMsg),
-    /// Coordinator → group decision broadcast.
-    Decision(Decision),
+    /// Coordinator → group decision broadcast. Immutable once computed and
+    /// reference-counted: the broadcast, every adopting engine, the requests
+    /// that circulate it and the next coordinator's matrix share one
+    /// allocation.
+    Decision(Arc<Decision>),
     /// Lagging process → most-updated process recovery ask.
     RecoveryRq(RecoveryRq),
     /// Recovery answer served from history.
@@ -152,6 +157,11 @@ impl Pdu {
     /// Wraps a freshly built [`DataMsg`] for the wire.
     pub fn data(msg: DataMsg) -> Pdu {
         Pdu::Data(Arc::new(msg))
+    }
+
+    /// Wraps a freshly computed [`Decision`] for the wire.
+    pub fn decision(decision: Decision) -> Pdu {
+        Pdu::Decision(Arc::new(decision))
     }
 
     /// Short tag for traffic accounting (stable across runs; used as a map
@@ -239,7 +249,7 @@ mod tests {
     #[test]
     fn control_classification_excludes_data() {
         assert!(!Pdu::data(sample_data()).is_control());
-        assert!(Pdu::Decision(Decision::genesis(2)).is_control());
+        assert!(Pdu::decision(Decision::genesis(2)).is_control());
     }
 
     #[test]

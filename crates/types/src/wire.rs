@@ -5,6 +5,11 @@
 //! experiment harness (Table 1) measures the encoded size of every PDU, so
 //! the codec must be deterministic and must never pad.
 //!
+//! A type of one fixed encoded size states its layout once ([`FixedWidth`]);
+//! vectors of such elements — every `n`-wide vector of a request or a
+//! decision — are coded in bulk. Only vectors of variable-width elements
+//! (messages, recovery runs) take a per-element loop.
+//!
 //! Every implementation guarantees `encoded_len() == bytes written by
 //! encode()` and `decode(encode(x)) == x`; both invariants are enforced by
 //! property tests.
@@ -220,42 +225,68 @@ fn need(buf: &Bytes, n: usize, context: &'static str) -> Result<(), WireError> {
     }
 }
 
-macro_rules! impl_wire_uint {
-    ($ty:ty, $put:ident, $get:ident, $ctx:literal) => {
-        impl WireEncode for $ty {
-            fn encode(&self, buf: &mut BytesMut) {
-                buf.$put(*self);
-            }
-            fn encoded_len(&self) -> usize {
-                core::mem::size_of::<$ty>()
-            }
-        }
-        impl WireDecode for $ty {
-            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-                need(buf, core::mem::size_of::<$ty>(), $ctx)?;
-                Ok(buf.$get())
-            }
-        }
-    };
+/// A type whose every value encodes to the same [`WIDTH`](Self::WIDTH)
+/// bytes. Its layout is written once, in `put`/`get`; the type's own
+/// [`WireEncode`]/[`WireDecode`] impls and the bulk `Vec<T>` codec are both
+/// derived from them, so a vector of `n` such elements costs one bounds
+/// check and one slice walk instead of `n` cursor operations.
+pub trait FixedWidth: Sized {
+    /// Encoded size of every value, in bytes: at least 1 and at most 256
+    /// (the vector encoder stages that many bytes per `put_slice`).
+    const WIDTH: usize;
+    /// What a [`WireError::UnexpectedEof`] names when input runs out.
+    const CONTEXT: &'static str;
+    /// Writes the encoding into `out`, which is exactly `WIDTH` bytes.
+    fn put(&self, out: &mut [u8]);
+    /// Reads a value from `raw`, which is exactly `WIDTH` bytes.
+    fn get(raw: &[u8]) -> Result<Self, WireError>;
 }
 
-impl_wire_uint!(u8, put_u8, get_u8, "u8");
-impl_wire_uint!(u16, put_u16_le, get_u16_le, "u16");
-impl_wire_uint!(u32, put_u32_le, get_u32_le, "u32");
-impl_wire_uint!(u64, put_u64_le, get_u64_le, "u64");
-
-impl WireEncode for bool {
-    fn encode(&self, buf: &mut BytesMut) {
-        buf.put_u8(*self as u8);
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
+/// Writes `value` at the front of a fixed-width record and steps past it.
+#[inline]
+fn put_field<T: FixedWidth>(value: &T, out: &mut &mut [u8]) {
+    let (head, rest) = std::mem::take(out).split_at_mut(T::WIDTH);
+    value.put(head);
+    *out = rest;
 }
 
-impl WireDecode for bool {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
+/// Reads a `T` from the front of a fixed-width record and steps past it.
+#[inline]
+fn get_field<T: FixedWidth>(raw: &mut &[u8]) -> Result<T, WireError> {
+    let (head, rest) = raw.split_at(T::WIDTH);
+    *raw = rest;
+    T::get(head)
+}
+
+macro_rules! impl_fixed_uint {
+    ($($ty:ty => $ctx:literal),+) => {$(
+        impl FixedWidth for $ty {
+            const WIDTH: usize = core::mem::size_of::<$ty>();
+            const CONTEXT: &'static str = $ctx;
+            #[inline]
+            fn put(&self, out: &mut [u8]) {
+                out.copy_from_slice(&self.to_le_bytes());
+            }
+            #[inline]
+            fn get(raw: &[u8]) -> Result<Self, WireError> {
+                Ok(<$ty>::from_le_bytes(raw.try_into().expect("WIDTH bytes")))
+            }
+        }
+    )+};
+}
+
+impl_fixed_uint!(u8 => "u8", u16 => "u16", u32 => "u32", u64 => "u64");
+
+impl FixedWidth for bool {
+    const WIDTH: usize = 1;
+    const CONTEXT: &'static str = "bool";
+    #[inline]
+    fn put(&self, out: &mut [u8]) {
+        out[0] = *self as u8;
+    }
+    #[inline]
+    fn get(raw: &[u8]) -> Result<Self, WireError> {
+        match raw[0] {
             0 => Ok(false),
             1 => Ok(true),
             value => Err(WireError::BadBool { value }),
@@ -263,99 +294,198 @@ impl WireDecode for bool {
     }
 }
 
-impl WireEncode for ProcessId {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        2
-    }
+/// A newtype is laid out as the integer it wraps.
+macro_rules! impl_fixed_newtype {
+    ($($ty:ident($inner:ty)),+) => {$(
+        impl FixedWidth for $ty {
+            const WIDTH: usize = <$inner>::WIDTH;
+            const CONTEXT: &'static str = stringify!($ty);
+            #[inline]
+            fn put(&self, out: &mut [u8]) {
+                self.0.put(out);
+            }
+            #[inline]
+            fn get(raw: &[u8]) -> Result<Self, WireError> {
+                Ok($ty(<$inner>::get(raw)?))
+            }
+        }
+    )+};
 }
 
-impl WireDecode for ProcessId {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(ProcessId(u16::decode(buf)?))
-    }
-}
+impl_fixed_newtype!(ProcessId(u16), Round(u64), Subrun(u64));
 
-impl WireEncode for Mid {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.origin.encode(buf);
-        self.seq.encode(buf);
+impl FixedWidth for Mid {
+    const WIDTH: usize = ProcessId::WIDTH + u64::WIDTH;
+    const CONTEXT: &'static str = "Mid";
+    #[inline]
+    fn put(&self, mut out: &mut [u8]) {
+        put_field(&self.origin, &mut out);
+        put_field(&self.seq, &mut out);
     }
-    fn encoded_len(&self) -> usize {
-        2 + 8
-    }
-}
-
-impl WireDecode for Mid {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+    #[inline]
+    fn get(mut raw: &[u8]) -> Result<Self, WireError> {
         Ok(Mid {
-            origin: ProcessId::decode(buf)?,
-            seq: u64::decode(buf)?,
+            origin: get_field(&mut raw)?,
+            seq: get_field(&mut raw)?,
         })
     }
 }
 
-impl WireEncode for Round {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
+impl FixedWidth for MaxProcessed {
+    const WIDTH: usize = ProcessId::WIDTH + u64::WIDTH;
+    const CONTEXT: &'static str = "MaxProcessed";
+    #[inline]
+    fn put(&self, mut out: &mut [u8]) {
+        put_field(&self.holder, &mut out);
+        put_field(&self.seq, &mut out);
     }
-    fn encoded_len(&self) -> usize {
-        8
-    }
-}
-
-impl WireDecode for Round {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Round(u64::decode(buf)?))
-    }
-}
-
-impl WireEncode for Subrun {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.0.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        8
+    #[inline]
+    fn get(mut raw: &[u8]) -> Result<Self, WireError> {
+        Ok(MaxProcessed {
+            holder: get_field(&mut raw)?,
+            seq: get_field(&mut raw)?,
+        })
     }
 }
 
-impl WireDecode for Subrun {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(Subrun(u64::decode(buf)?))
+impl FixedWidth for RecoveryWant {
+    const WIDTH: usize = ProcessId::WIDTH + 2 * u64::WIDTH;
+    const CONTEXT: &'static str = "RecoveryWant";
+    #[inline]
+    fn put(&self, mut out: &mut [u8]) {
+        put_field(&self.origin, &mut out);
+        put_field(&self.after_seq, &mut out);
+        put_field(&self.upto_seq, &mut out);
+    }
+    #[inline]
+    fn get(mut raw: &[u8]) -> Result<Self, WireError> {
+        Ok(RecoveryWant {
+            origin: get_field(&mut raw)?,
+            after_seq: get_field(&mut raw)?,
+            upto_seq: get_field(&mut raw)?,
+        })
     }
 }
 
-impl<T: WireEncode> WireEncode for Vec<T> {
+/// Derives the single-value codec of [`FixedWidth`] types from their layout.
+macro_rules! impl_wire_fixed {
+    ($($ty:ty),+) => {$(
+        impl WireEncode for $ty {
+            fn encode(&self, buf: &mut BytesMut) {
+                let mut raw = [0u8; <$ty as FixedWidth>::WIDTH];
+                self.put(&mut raw);
+                buf.put_slice(&raw);
+            }
+            fn encoded_len(&self) -> usize {
+                <$ty as FixedWidth>::WIDTH
+            }
+        }
+        impl WireDecode for $ty {
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                const WIDTH: usize = <$ty as FixedWidth>::WIDTH;
+                need(buf, WIDTH, <$ty as FixedWidth>::CONTEXT)?;
+                let value = <$ty as FixedWidth>::get(&buf.chunk()[..WIDTH])?;
+                buf.advance(WIDTH);
+                Ok(value)
+            }
+        }
+    )+};
+}
+
+impl_wire_fixed!(u8, u16, u32, u64, bool);
+impl_wire_fixed!(ProcessId, Round, Subrun, Mid, MaxProcessed, RecoveryWant);
+
+/// Bytes of fixed-width elements staged on the stack per `put_slice`.
+const ENCODE_CHUNK: usize = 256;
+
+/// Decodes a vector's `u32` element count, bounded by [`MAX_VEC_LEN`].
+fn decode_vec_len(buf: &mut Bytes) -> Result<usize, WireError> {
+    let len = u32::decode(buf)? as u64;
+    if len > MAX_VEC_LEN {
+        return Err(WireError::LengthOverflow {
+            context: "Vec",
+            declared: len,
+            max: MAX_VEC_LEN,
+        });
+    }
+    Ok(len as usize)
+}
+
+/// The bulk path: a vector of fixed-width elements is a length prefix and
+/// `len * WIDTH` contiguous bytes.
+impl<T: FixedWidth> WireEncode for Vec<T> {
     fn encode(&self, buf: &mut BytesMut) {
         (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
+        buf.reserve(self.len() * T::WIDTH);
+        let mut staged = [0u8; ENCODE_CHUNK];
+        for group in self.chunks(ENCODE_CHUNK / T::WIDTH) {
+            let staged = &mut staged[..group.len() * T::WIDTH];
+            for (item, out) in group.iter().zip(staged.chunks_exact_mut(T::WIDTH)) {
+                item.put(out);
+            }
+            buf.put_slice(staged);
         }
     }
     fn encoded_len(&self) -> usize {
-        4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
+        4 + self.len() * T::WIDTH
     }
 }
 
-impl<T: WireDecode> WireDecode for Vec<T> {
+impl<T: FixedWidth> WireDecode for Vec<T> {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        let len = u32::decode(buf)? as u64;
-        if len > MAX_VEC_LEN {
-            return Err(WireError::LengthOverflow {
-                context: "Vec",
-                declared: len,
-                max: MAX_VEC_LEN,
-            });
+        let len = decode_vec_len(buf)?;
+        // `len <= MAX_VEC_LEN` and `WIDTH <= ENCODE_CHUNK`: no overflow.
+        // Checked before reserving, so a hostile count with no bytes behind
+        // it allocates nothing.
+        let total = len * T::WIDTH;
+        need(buf, total, T::CONTEXT)?;
+        let mut out = Vec::with_capacity(len);
+        for raw in buf.chunk()[..total].chunks_exact(T::WIDTH) {
+            out.push(T::get(raw)?);
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::decode(buf)?);
-        }
+        buf.advance(total);
         Ok(out)
     }
 }
+
+/// Derives the `Vec` codec of a variable-width element type: the
+/// per-element loop. `$min` is the smallest encoding an element can have; a
+/// count the remaining bytes could not hold even at that size is rejected
+/// before anything is reserved for it.
+macro_rules! impl_wire_var_vec {
+    ($ty:ty, $min:expr, $ctx:literal) => {
+        impl WireEncode for Vec<$ty> {
+            fn encode(&self, buf: &mut BytesMut) {
+                (self.len() as u32).encode(buf);
+                for item in self {
+                    item.encode(buf);
+                }
+            }
+            fn encoded_len(&self) -> usize {
+                4 + self.iter().map(WireEncode::encoded_len).sum::<usize>()
+            }
+        }
+        impl WireDecode for Vec<$ty> {
+            fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
+                let len = decode_vec_len(buf)?;
+                need(buf, len * $min, $ctx)?;
+                let mut out = Vec::with_capacity(len);
+                for _ in 0..len {
+                    out.push(<$ty>::decode(buf)?);
+                }
+                Ok(out)
+            }
+        }
+    };
+}
+
+/// Smallest encoded [`DataMsg`]: mid, empty `deps`, round, empty payload.
+const DATA_MSG_MIN_LEN: usize = Mid::WIDTH + 4 + Round::WIDTH + 4;
+/// Smallest encoded [`RecoveryRun`]: origin and an empty `messages`.
+const RECOVERY_RUN_MIN_LEN: usize = ProcessId::WIDTH + 4;
+
+impl_wire_var_vec!(Arc<DataMsg>, DATA_MSG_MIN_LEN, "DataMsg");
+impl_wire_var_vec!(RecoveryRun, RECOVERY_RUN_MIN_LEN, "RecoveryRun");
 
 impl<T: WireEncode> WireEncode for Arc<T> {
     fn encode(&self, buf: &mut BytesMut) {
@@ -394,25 +524,6 @@ impl WireDecode for Bytes {
         }
         need(buf, len as usize, "Bytes")?;
         Ok(buf.split_to(len as usize))
-    }
-}
-
-impl WireEncode for MaxProcessed {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.holder.encode(buf);
-        self.seq.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        2 + 8
-    }
-}
-
-impl WireDecode for MaxProcessed {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(MaxProcessed {
-            holder: ProcessId::decode(buf)?,
-            seq: u64::decode(buf)?,
-        })
     }
 }
 
@@ -509,7 +620,7 @@ impl WireDecode for RequestMsg {
             subrun: Subrun::decode(buf)?,
             last_processed: Vec::decode(buf)?,
             waiting: Vec::decode(buf)?,
-            prev_decision: Decision::decode(buf)?,
+            prev_decision: Arc::decode(buf)?,
             forwarded: bool::decode(buf)?,
         })
     }
@@ -555,27 +666,6 @@ impl WireDecode for RecoveryReply {
             responder: ProcessId::decode(buf)?,
             origin: ProcessId::decode(buf)?,
             messages: Vec::decode(buf)?,
-        })
-    }
-}
-
-impl WireEncode for RecoveryWant {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.origin.encode(buf);
-        self.after_seq.encode(buf);
-        self.upto_seq.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        2 + 8 + 8
-    }
-}
-
-impl WireDecode for RecoveryWant {
-    fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
-        Ok(RecoveryWant {
-            origin: ProcessId::decode(buf)?,
-            after_seq: u64::decode(buf)?,
-            upto_seq: u64::decode(buf)?,
         })
     }
 }
@@ -712,7 +802,7 @@ impl WireDecode for Pdu {
         match u8::decode(buf)? {
             TAG_DATA => Ok(Pdu::Data(Arc::decode(buf)?)),
             TAG_REQUEST => Ok(Pdu::Request(RequestMsg::decode(buf)?)),
-            TAG_DECISION => Ok(Pdu::Decision(Decision::decode(buf)?)),
+            TAG_DECISION => Ok(Pdu::Decision(Arc::decode(buf)?)),
             TAG_RECOVERY_RQ => Ok(Pdu::RecoveryRq(RecoveryRq::decode(buf)?)),
             TAG_RECOVERY_REPLY => Ok(Pdu::RecoveryReply(RecoveryReply::decode(buf)?)),
             TAG_RECOVERY_BATCH_RQ => Ok(Pdu::RecoveryBatchRq(RecoveryBatchRq::decode(buf)?)),
@@ -789,14 +879,14 @@ mod tests {
             subrun: Subrun(5),
             last_processed: vec![1, 0, 7],
             waiting: vec![NO_SEQ, 4, NO_SEQ],
-            prev_decision: sample_decision(3),
+            prev_decision: Arc::new(sample_decision(3)),
             forwarded: true,
         }));
     }
 
     #[test]
     fn decision_roundtrip() {
-        roundtrip(&Pdu::Decision(sample_decision(5)));
+        roundtrip(&Pdu::decision(sample_decision(5)));
     }
 
     #[test]
@@ -946,7 +1036,7 @@ mod tests {
         // including the batched recovery tags (6/7), which are the common
         // case now that `batched_recovery` defaults on.
         for pdu in [
-            Pdu::Decision(sample_decision(4)),
+            Pdu::decision(sample_decision(4)),
             sample_batch_rq(),
             sample_batch(),
         ] {
@@ -969,7 +1059,7 @@ mod tests {
     fn frame_cache_matches_one_shot_encoding() {
         let mut cache = FrameCache::new();
         for pdu in [
-            Pdu::Decision(sample_decision(4)),
+            Pdu::decision(sample_decision(4)),
             sample_batch_rq(),
             sample_batch(),
             Pdu::data(DataMsg {
@@ -988,7 +1078,7 @@ mod tests {
     #[test]
     fn frame_cache_clones_share_one_allocation() {
         let mut cache = FrameCache::new();
-        let frame = cache.encode(&Pdu::Decision(sample_decision(8)));
+        let frame = cache.encode(&Pdu::decision(sample_decision(8)));
         let fanout: Vec<Bytes> = (0..100).map(|_| frame.clone()).collect();
         let base = frame.as_ptr();
         for copy in &fanout {
@@ -999,18 +1089,18 @@ mod tests {
     #[test]
     fn frame_cache_retains_capacity_across_frames() {
         let mut cache = FrameCache::new();
-        let big = cache.encode(&Pdu::Decision(sample_decision(64)));
+        let big = cache.encode(&Pdu::decision(sample_decision(64)));
         let warm = cache.capacity();
         assert!(warm >= big.len());
         // Smaller frames reuse the warm arena instead of growing it.
-        cache.encode(&Pdu::Decision(sample_decision(4)));
+        cache.encode(&Pdu::decision(sample_decision(4)));
         cache.encode(&sample_batch_rq());
         assert_eq!(cache.capacity(), warm, "steady-state encode grew the arena");
     }
 
     #[test]
     fn truncated_frame_is_rejected() {
-        let full = encode_pdu(&Pdu::Decision(sample_decision(4)));
+        let full = encode_pdu(&Pdu::decision(sample_decision(4)));
         for cut in 0..full.len() {
             let mut part = full.clone();
             part.truncate(cut);
@@ -1052,9 +1142,27 @@ mod tests {
     }
 
     #[test]
+    fn minimum_element_lengths_are_the_empty_encodings() {
+        // What the variable-width vector decoder divides the remaining
+        // bytes by: an element cannot be shorter than this.
+        let empty = DataMsg {
+            mid: Mid::new(ProcessId(0), 1),
+            deps: vec![],
+            round: Round(0),
+            payload: Bytes::new(),
+        };
+        assert_eq!(empty.encoded_len(), DATA_MSG_MIN_LEN);
+        let run = RecoveryRun {
+            origin: ProcessId(0),
+            messages: vec![],
+        };
+        assert_eq!(run.encoded_len(), RECOVERY_RUN_MIN_LEN);
+    }
+
+    #[test]
     fn bad_bool_is_rejected() {
         let mut good = BytesMut::new();
-        Pdu::Decision(sample_decision(3)).encode(&mut good);
+        Pdu::decision(sample_decision(3)).encode(&mut good);
         let mut raw = good.to_vec();
         // full_group is the byte right after tag(1) + subrun(8) + coord(2).
         // Re-seal so the structural check (not the checksum) is under test.
@@ -1069,9 +1177,9 @@ mod tests {
     fn decision_size_scales_linearly_in_n() {
         // Table 1 reports urcgc control sizes linear in n; the codec must
         // preserve that shape: fixed header + per-process cost.
-        let s5 = Pdu::Decision(Decision::genesis(5)).encoded_len();
-        let s10 = Pdu::Decision(Decision::genesis(10)).encoded_len();
-        let s20 = Pdu::Decision(Decision::genesis(20)).encoded_len();
+        let s5 = Pdu::decision(Decision::genesis(5)).encoded_len();
+        let s10 = Pdu::decision(Decision::genesis(10)).encoded_len();
+        let s20 = Pdu::decision(Decision::genesis(20)).encoded_len();
         assert_eq!(s10 - s5, (s20 - s10) / 2);
         let per_process = (s10 - s5) / 5;
         // stable 8 + attempts 4 + state 1 + max_processed 10 + min_waiting 8
@@ -1084,14 +1192,14 @@ mod tests {
         // Section 6: "a message that urcgc generates for a group of 15
         // processes fits into a single IP datagram packet, by considering
         // its minimum size of 576 bytes".
-        let d = Pdu::Decision(Decision::genesis(15));
+        let d = Pdu::decision(Decision::genesis(15));
         assert!(d.encoded_len() <= 576, "decision = {}", d.encoded_len());
         let rq = Pdu::Request(RequestMsg {
             sender: ProcessId(0),
             subrun: Subrun(0),
             last_processed: vec![0; 15],
             waiting: vec![0; 15],
-            prev_decision: Decision::genesis(15),
+            prev_decision: Arc::new(Decision::genesis(15)),
             forwarded: false,
         });
         assert!(rq.encoded_len() <= 1024, "request = {}", rq.encoded_len());

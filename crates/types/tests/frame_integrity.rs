@@ -35,10 +35,10 @@ fn sample_frames() -> Vec<Bytes> {
             subrun: Subrun(5),
             last_processed: vec![1, 0, 7],
             waiting: vec![0, 4, 0],
-            prev_decision: Decision::genesis(3),
+            prev_decision: Arc::new(Decision::genesis(3)),
             forwarded: true,
         }),
-        Pdu::Decision(Decision::genesis(5)),
+        Pdu::decision(Decision::genesis(5)),
         Pdu::RecoveryRq(RecoveryRq {
             requester: ProcessId(4),
             origin: ProcessId(0),

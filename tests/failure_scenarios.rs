@@ -191,7 +191,7 @@ fn orphan_sequence_destroyed_group_wide() {
     };
     d.min_waiting[0] = 3;
     for e in [&mut e1, &mut e2] {
-        e.on_pdu(ProcessId(1), Pdu::Decision(d.clone()));
+        e.on_pdu(ProcessId(1), Pdu::decision(d.clone()));
         assert_eq!(e.gauges().waiting_len, 0, "{} kept the orphan", e.me());
         let mut discarded = Vec::new();
         while let Some(o) = e.poll_output() {

@@ -177,9 +177,9 @@ fn claim_control_traffic_2n_minus_2_per_subrun() {
 /// field of an Ethernet packet is considered."
 #[test]
 fn claim_datagram_fits() {
-    let d15 = encode_pdu(&Pdu::Decision(Decision::genesis(15)));
+    let d15 = encode_pdu(&Pdu::decision(Decision::genesis(15)));
     assert!(d15.len() <= 576, "n=15 decision is {} B", d15.len());
-    let d40 = encode_pdu(&Pdu::Decision(Decision::genesis(40)));
+    let d40 = encode_pdu(&Pdu::decision(Decision::genesis(40)));
     assert!(d40.len() <= 1500, "n=40 decision is {} B", d40.len());
     assert!(
         d40.len() > 576,
@@ -187,7 +187,7 @@ fn claim_datagram_fits() {
     );
     // And the frames decode back (they are real frames, not size stubs).
     assert!(decode_pdu(&d15).is_ok());
-    let _ = Pdu::Decision(Decision::genesis(15)).encoded_len();
+    let _ = Pdu::decision(Decision::genesis(15)).encoded_len();
 }
 
 /// §6 / Fig. 5: "urcgc needs 2K + f rtds to cope with them …

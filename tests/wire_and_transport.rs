@@ -73,7 +73,7 @@ fn live_engine_traffic_roundtrips_through_codec() {
 #[test]
 fn control_messages_fit_the_papers_datagram_budgets() {
     for (n, budget) in [(15usize, 576usize), (40, 1500)] {
-        let dec = Pdu::Decision(Decision::genesis(n));
+        let dec = Pdu::decision(Decision::genesis(n));
         assert!(
             dec.encoded_len() <= budget,
             "n={n}: decision {}B exceeds {budget}B",
@@ -84,7 +84,7 @@ fn control_messages_fit_the_papers_datagram_budgets() {
             subrun: Subrun(0),
             last_processed: vec![u64::MAX; n],
             waiting: vec![u64::MAX; n],
-            prev_decision: Decision::genesis(n),
+            prev_decision: std::sync::Arc::new(Decision::genesis(n)),
             forwarded: false,
         });
         // Requests carry a decision plus two vectors; they fit Ethernet for
