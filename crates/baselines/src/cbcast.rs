@@ -434,20 +434,7 @@ pub fn run_cbcast_group(
             ..SimOptions::default()
         },
     );
-    let mut rounds = 0;
-    let mut idle_streak = 0;
-    while rounds < max_rounds {
-        net.step();
-        rounds += 1;
-        if net.all_done() {
-            idle_streak += 1;
-            if idle_streak >= 4 {
-                break;
-            }
-        } else {
-            idle_streak = 0;
-        }
-    }
+    let rounds = net.run_until_settled(max_rounds, 4, SimNet::all_done);
 
     let alive: Vec<bool> = (0..n)
         .map(|i| !net.is_crashed(ProcessId::from_index(i)))

@@ -355,20 +355,7 @@ pub fn run_psync_group(
             ..SimOptions::default()
         },
     );
-    let mut rounds = 0;
-    let mut idle = 0;
-    while rounds < max_rounds {
-        net.step();
-        rounds += 1;
-        if net.all_done() {
-            idle += 1;
-            if idle >= 4 {
-                break;
-            }
-        } else {
-            idle = 0;
-        }
-    }
+    let rounds = net.run_until_settled(max_rounds, 4, SimNet::all_done);
     let alive: Vec<bool> = (0..n)
         .map(|i| !net.is_crashed(ProcessId::from_index(i)))
         .collect();

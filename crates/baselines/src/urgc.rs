@@ -602,20 +602,7 @@ pub fn run_urgc_total(
             ..SimOptions::default()
         },
     );
-    let mut rounds = 0;
-    let mut idle = 0;
-    while rounds < max_rounds {
-        net.step();
-        rounds += 1;
-        if net.all_done() {
-            idle += 1;
-            if idle >= 8 {
-                break;
-            }
-        } else {
-            idle = 0;
-        }
-    }
+    let rounds = net.run_until_settled(max_rounds, 8, SimNet::all_done);
     let mut generated: HashMap<TotalId, Round> = HashMap::new();
     for node in net.nodes() {
         generated.extend(node.generated().iter().map(|(&k, &v)| (k, v)));

@@ -8,8 +8,9 @@
 //! throughput plus real heap-allocation counts for the n=100 fan-out,
 //! measured by a counting global allocator), and the **control-plane**
 //! section (heap allocations per member-subrun of the request → decision
-//! exchange), and emits one JSON document so future PRs can diff
-//! performance trajectories per commit.
+//! exchange), and the **construction** section (heap allocations to build
+//! the benchmark's two simulator cells), and emits one JSON document so
+//! future PRs can diff performance trajectories per commit.
 //!
 //! Run:   `cargo run --release -p urcgc-bench --bin hotpath -- --json BENCH.json`
 //! Smoke: `... --bin hotpath -- --profile smoke --json smoke.json`
@@ -29,8 +30,9 @@ use urcgc_bench::hotpath::{
     history_purge, history_range, park_indexed, park_rescan, purge_in_steps, purge_in_steps_flat,
     recovery_storm, run_calendar, sample_msg, shared_clone_bytes, time_nanos,
 };
+use urcgc_bench::soak::{soak_faults, soak_members};
 use urcgc_metrics::Json;
-use urcgc_simnet::FaultPlan;
+use urcgc_simnet::{FaultPlan, SimNet, SimOptions};
 use urcgc_types::wire::{frame_checksum, FRAME_TRAILER_LEN};
 use urcgc_types::{
     decode_pdu, encode_pdu, fnv1a_32, FrameCache, Pdu, ProcessId, ProtocolConfig, Round, Subrun,
@@ -171,6 +173,28 @@ fn control_plane(n: usize) -> ControlPlaneAllocs {
         decide,
         adoption,
     }
+}
+
+/// Ceiling on the allocations of `SimNet::new`, whatever the cell.
+const SIMNET_ALLOCS: u64 = 7;
+
+/// Heap allocations to build one simulator cell of the benchmark — the
+/// `sim_faulty_n40` cell (direct) or the `sim_overlay_n100` cell (overlay
+/// tree, K sized up), as `soak_cell` builds them — counted where its
+/// `setup_s` is timed: (the members through their public constructors,
+/// `SimNet::new` over them).
+fn construction(n: usize, msgs_per_proc: u64, overlay: bool) -> (u64, u64) {
+    let seed = 1;
+    let faults = soak_faults(n, msgs_per_proc);
+    let opts = SimOptions {
+        seed,
+        max_rounds: msgs_per_proc * 8 + 4_000,
+        bytes_window: Some(64),
+    };
+    let (members, nodes) = count_allocs(|| soak_members(overlay, n, msgs_per_proc, seed));
+    let (simnet, net) = count_allocs(|| SimNet::new(nodes, faults, opts));
+    assert_eq!(net.n(), n);
+    (members, simnet)
 }
 
 const HELP: &str = "\
@@ -717,6 +741,34 @@ fn main() {
                         .with("request_receipt_allocs", allocs.request_receipt)
                         .with("decide_allocs", allocs.decide)
                         .with("adoption_allocs", allocs.adoption),
+                ),
+        );
+    }
+
+    // 9. Construction: exact heap-allocation counts to build the two
+    //    simulator cells whose `setup_s` the benchmark bounds — the
+    //    machine-independent witness behind a wall-clock figure whose own
+    //    spread is wider than its bound.
+    for (cell, n, msgs_per_proc, overlay, ceiling) in [
+        ("sim_faulty_n40", 40, 600, false, 481),
+        ("sim_overlay_n100", 100, 80, true, 2_101),
+    ] {
+        let (members, simnet) = construction(n, msgs_per_proc, overlay);
+        assert!(
+            members <= ceiling && simnet <= SIMNET_ALLOCS,
+            "{cell}: {members} allocations for the members (recorded {ceiling}), \
+             {simnet} for SimNet::new (recorded {SIMNET_ALLOCS})"
+        );
+        println!("construction     {cell:<17} allocs: members {members}   simnet {simnet}");
+        benches.push(
+            Json::obj()
+                .with("name", "construction")
+                .with("params", Json::obj().with("cell", cell).with("n", n))
+                .with(
+                    "metrics",
+                    Json::obj()
+                        .with("members_allocs", members)
+                        .with("simnet_allocs", simnet),
                 ),
         );
     }

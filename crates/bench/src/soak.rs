@@ -20,252 +20,20 @@
 
 use std::time::Instant;
 
-use bytes::Bytes;
-use rand::Rng;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use urcgc::sim::{DepPolicy, Workload};
-use urcgc::{Engine, Output, ProtocolConfig};
+use urcgc::sim::{CountingProbe, Workload};
+use urcgc::ProtocolConfig;
 use urcgc_baselines::cbcast::Load;
 use urcgc_baselines::{CbcastNode, PsyncNode};
 use urcgc_metrics::Json;
-use urcgc_overlay::{is_relay_frame, Disseminator, OverlayConfig, RelayDisposition};
-use urcgc_simnet::{FaultPlan, NetCtx, Node, SimNet, SimOptions};
-use urcgc_types::{FrameCache, Mid, ProcessId, Round};
+use urcgc_overlay::OverlayConfig;
+use urcgc_simnet::{FaultPlan, Node, SimNet, SimOptions};
+use urcgc_types::{ProcessId, Round};
 
-/// A urcgc group member stripped to soak essentials: the real [`Engine`]
-/// plus counters. Mirrors `urcgc::sim::UrcgcNode` (same workload RNG
-/// stream, same quiescence rule) minus every per-message probe map.
-pub struct SoakUrcgcNode {
-    engine: Engine,
-    workload: Workload,
-    rng: ChaCha8Rng,
-    submitted: u64,
-    delivered: u64,
-    discarded: u64,
-    undecodable: u64,
-    latest_foreign: Option<Mid>,
-    peak_history: usize,
-    peak_waiting: usize,
-    /// Reused encode arena: one allocation per outgoing frame, shared
-    /// across every destination of a broadcast.
-    frames: FrameCache,
-    /// Overlay disseminator, when this soak routes `data`/`decision`
-    /// broadcasts hop-by-hop instead of by direct n-unicast.
-    overlay: Option<Disseminator>,
-    /// Logical broadcasts this node originated (data + decision PDUs).
-    broadcasts: u64,
-    /// Wire copies those broadcasts cost at the origin: n−1 each under
-    /// direct dissemination, ≤ degree under the overlay. The ratio is the
-    /// origin fan-out the overlay exists to flatten.
-    broadcast_copies: u64,
-}
-
-impl SoakUrcgcNode {
-    /// Builds the node for process `me` (same per-node seed derivation as
-    /// the probed harness, so workloads are comparable run to run).
-    pub fn new(me: ProcessId, cfg: ProtocolConfig, workload: Workload, seed: u64) -> Self {
-        SoakUrcgcNode {
-            engine: Engine::new(me, cfg),
-            workload,
-            rng: ChaCha8Rng::seed_from_u64(
-                seed ^ (0x9E37_79B9_7F4A_7C15u64).wrapping_mul(me.0 as u64 + 1),
-            ),
-            submitted: 0,
-            delivered: 0,
-            discarded: 0,
-            undecodable: 0,
-            latest_foreign: None,
-            peak_history: 0,
-            peak_waiting: 0,
-            frames: FrameCache::new(),
-            overlay: None,
-            broadcasts: 0,
-            broadcast_copies: 0,
-        }
-    }
-
-    /// Routes this node's `data`/`decision` broadcasts over the overlay
-    /// (control traffic stays direct) — same semantics as
-    /// `urcgc::sim::UrcgcNode::with_overlay`. Every group member must be
-    /// given the same config.
-    pub fn with_overlay(mut self, cfg: OverlayConfig) -> Self {
-        let n = self.engine.config().n;
-        self.overlay = Some(Disseminator::new(self.engine.me(), n, cfg));
-        self
-    }
-
-    /// Application messages processed here.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Messages this node generated.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
-    /// Peak history table length observed.
-    pub fn peak_history(&self) -> usize {
-        self.peak_history
-    }
-
-    /// Current history residency: (live segments, payload bytes, purge
-    /// lag in messages). Sampled by the soak loop at window boundaries.
-    pub fn residency(&self) -> (usize, usize, u64) {
-        let g = self.engine.gauges();
-        (g.history_segments, g.history_bytes, g.purge_lag)
-    }
-
-    /// Peak waiting-list length observed.
-    pub fn peak_waiting(&self) -> usize {
-        self.peak_waiting
-    }
-
-    /// Orphan-destruction victims plus undecodable frames seen here.
-    pub fn losses(&self) -> u64 {
-        self.discarded + self.undecodable
-    }
-
-    /// (logical broadcasts originated, wire copies they cost at this
-    /// origin) — the per-process fan-out gauge.
-    pub fn fanout(&self) -> (u64, u64) {
-        (self.broadcasts, self.broadcast_copies)
-    }
-
-    /// Whole budget generated, no backlog, no known gap (same rule as the
-    /// probed harness node).
-    fn is_quiescent(&self) -> bool {
-        if !self.engine.status().is_active() {
-            return true;
-        }
-        if self.submitted < self.workload.total || !self.engine.gauges().is_drained() {
-            return false;
-        }
-        let d = self.engine.last_decision();
-        (0..d.n()).all(|q| {
-            let p = ProcessId::from_index(q);
-            d.max_processed[q].seq <= self.engine.last_processed(p)
-                || !self.engine.view().is_alive(d.max_processed[q].holder)
-                || d.max_processed[q].holder == self.engine.me()
-        })
-    }
-
-    fn maybe_generate(&mut self) {
-        if !self.engine.status().is_active() || self.submitted >= self.workload.total {
-            return;
-        }
-        if self.workload.gen_prob < 1.0 && !self.rng.gen_bool(self.workload.gen_prob) {
-            return;
-        }
-        let deps: Vec<Mid> = match self.workload.deps {
-            DepPolicy::OwnChain => vec![],
-            DepPolicy::LatestForeign => self.latest_foreign.into_iter().collect(),
-        };
-        let payload = Bytes::from(vec![0u8; self.workload.payload_size]);
-        if self.engine.submit(payload, &deps).is_ok() {
-            self.submitted += 1;
-        }
-    }
-
-    fn flush(&mut self, net: &mut NetCtx<'_>) {
-        let me = self.engine.me();
-        while let Some(out) = self.engine.poll_output() {
-            match out {
-                Output::Send { to, pdu } => {
-                    net.send(to, pdu.kind().label(), self.frames.encode(&pdu));
-                }
-                Output::Broadcast { pdu } => {
-                    let kind = pdu.kind().label();
-                    let inner = self.frames.encode(&pdu);
-                    self.broadcasts += 1;
-                    match self.overlay.as_mut() {
-                        Some(ov) => {
-                            ov.sync_view(self.engine.view().flags());
-                            let (envelope, targets) = ov.broadcast(&inner);
-                            self.broadcast_copies += targets.len() as u64;
-                            for (i, to) in targets.into_iter().enumerate() {
-                                if i == 0 {
-                                    net.send(to, kind, envelope.clone());
-                                } else {
-                                    net.send_shared(to, kind, envelope.clone());
-                                }
-                            }
-                        }
-                        None => {
-                            self.broadcast_copies += self.engine.config().n as u64 - 1;
-                            net.broadcast(kind, inner);
-                        }
-                    }
-                }
-                Output::Deliver { msg } => {
-                    self.delivered += 1;
-                    if msg.mid.origin != me {
-                        self.latest_foreign = Some(msg.mid);
-                    }
-                }
-                Output::Confirm { .. } => {}
-                Output::Discarded { mids } => self.discarded += mids.len() as u64,
-                Output::StatusChanged { .. } => {}
-            }
-        }
-    }
-
-    /// Handles an arriving overlay envelope: dedup, forward to overlay
-    /// children, deliver the inner frame to the engine (mirrors
-    /// `urcgc::sim::UrcgcNode::on_relay_frame`).
-    fn on_relay_frame(&mut self, frame: &Bytes, net: &mut NetCtx<'_>) {
-        let disposition = {
-            let ov = self.overlay.as_mut().expect("relay frame without overlay");
-            ov.sync_view(self.engine.view().flags());
-            ov.on_frame(frame)
-        };
-        match disposition {
-            RelayDisposition::Deliver {
-                origin,
-                inner,
-                forward,
-                envelope,
-            } => {
-                for to in forward {
-                    net.send_relayed(to, "relay", envelope.clone());
-                }
-                if self.engine.on_frame(origin, &inner).is_err() {
-                    self.undecodable += 1;
-                }
-            }
-            RelayDisposition::Duplicate => {}
-            RelayDisposition::Undecodable => self.undecodable += 1,
-        }
-    }
-}
-
-impl Node for SoakUrcgcNode {
-    fn on_round(&mut self, round: Round, net: &mut NetCtx<'_>) {
-        self.maybe_generate();
-        self.engine.begin_round(round);
-        self.flush(net);
-        // stats() refreshes the two peak gauges in O(1); gauges() would
-        // also walk the per-origin purge-lag vector, which this per-round
-        // hot path does not need.
-        let s = self.engine.stats();
-        self.peak_history = self.peak_history.max(s.history_len);
-        self.peak_waiting = self.peak_waiting.max(s.waiting);
-    }
-
-    fn on_frame(&mut self, from: ProcessId, frame: Bytes, net: &mut NetCtx<'_>) {
-        if self.overlay.is_some() && is_relay_frame(&frame) {
-            self.on_relay_frame(&frame, net);
-        } else if self.engine.on_frame(from, &frame).is_err() {
-            self.undecodable += 1;
-        }
-        self.flush(net);
-    }
-
-    fn is_done(&self) -> bool {
-        self.is_quiescent()
-    }
-}
+/// A urcgc group member stripped to soak essentials: the one in-model
+/// [`Member`](urcgc::sim::Member) — same engine driver, workload RNG stream
+/// and quiescence rule as the checker's `UrcgcNode` — recording counters
+/// and peak gauges only.
+pub type SoakUrcgcNode = urcgc::sim::Member<CountingProbe>;
 
 /// Per-window soak sample (one per `window` rounds; bounded population).
 #[derive(Clone, Copy, Debug)]
@@ -675,6 +443,22 @@ pub fn overlay_soak_config(seed: u64) -> OverlayConfig {
     OverlayConfig::tree(OVERLAY_SOAK_DEGREE, seed ^ 0xE701)
 }
 
+/// The urcgc members of a soak cell: direct n-unicast, or — `overlay` —
+/// the [`overlay_soak_config`] tree with K sized up for multi-hop
+/// dissemination: until a crashed relay is declared failed and the tree
+/// re-parents, a process downstream of the corpse can miss several
+/// consecutive decisions through no fault of its own (PROTOCOL.md §8).
+pub fn soak_members(overlay: bool, n: usize, msgs_per_proc: u64, seed: u64) -> Vec<SoakUrcgcNode> {
+    let (cfg, overlay) = if overlay {
+        let overlay = Some(overlay_soak_config(seed));
+        (ProtocolConfig::new(n).with_k(6), overlay)
+    } else {
+        (ProtocolConfig::new(n), None)
+    };
+    let workload = Workload::fixed_count(msgs_per_proc, 32);
+    SoakUrcgcNode::group(&cfg, &workload, seed, overlay.as_ref())
+}
+
 /// Runs one cell of the soak grid. `progress` streams per-window lines —
 /// keep it off when cells run concurrently (the job pool). Per-cell seeds
 /// and budgets are identical whatever `progress` (or the caller's job
@@ -687,91 +471,35 @@ pub fn soak_cell(
     window: u64,
     progress: bool,
 ) -> SoakReport {
-    let max_rounds = msgs_per_proc * 8 + 4_000;
+    let spec = |protocol| SoakSpec {
+        protocol,
+        n,
+        msgs_per_proc,
+        seed,
+        window,
+        max_rounds: msgs_per_proc * 8 + 4_000,
+        progress,
+    };
+    let baseline_load = Load::fixed(msgs_per_proc, 32).unprobed();
     match protocol {
-        SoakProtocol::Urcgc => {
-            let cfg = ProtocolConfig::new(n);
-            let workload = Workload::fixed_count(msgs_per_proc, 32);
-            let nodes: Vec<SoakUrcgcNode> = (0..n)
-                .map(|i| {
-                    SoakUrcgcNode::new(
-                        ProcessId::from_index(i),
-                        cfg.clone(),
-                        workload.clone(),
-                        seed,
-                    )
-                })
-                .collect();
+        SoakProtocol::Urcgc | SoakProtocol::UrcgcOverlay => {
+            let overlay = protocol == SoakProtocol::UrcgcOverlay;
             run_soak(
-                SoakSpec {
-                    protocol: "urcgc",
-                    n,
-                    msgs_per_proc,
-                    seed,
-                    window,
-                    max_rounds,
-                    progress,
-                },
-                nodes,
+                spec(if overlay { "urcgc+overlay" } else { "urcgc" }),
+                soak_members(overlay, n, msgs_per_proc, seed),
                 soak_faults(n, msgs_per_proc),
-                |nd| nd.delivered(),
+                SoakUrcgcNode::delivered,
                 |nd| (nd.peak_history(), nd.peak_waiting()),
-                |nd| nd.residency(),
-                |nd| nd.fanout(),
-            )
-        }
-        SoakProtocol::UrcgcOverlay => {
-            // K is sized up for multi-hop dissemination: until a crashed
-            // relay is declared failed and the tree re-parents, a process
-            // downstream of the corpse can miss several consecutive
-            // decisions through no fault of its own (PROTOCOL.md §8).
-            let cfg = ProtocolConfig::new(n).with_k(6);
-            let overlay = overlay_soak_config(seed);
-            let workload = Workload::fixed_count(msgs_per_proc, 32);
-            let nodes: Vec<SoakUrcgcNode> = (0..n)
-                .map(|i| {
-                    SoakUrcgcNode::new(
-                        ProcessId::from_index(i),
-                        cfg.clone(),
-                        workload.clone(),
-                        seed,
-                    )
-                    .with_overlay(overlay.clone())
-                })
-                .collect();
-            run_soak(
-                SoakSpec {
-                    protocol: "urcgc+overlay",
-                    n,
-                    msgs_per_proc,
-                    seed,
-                    window,
-                    max_rounds,
-                    progress,
-                },
-                nodes,
-                soak_faults(n, msgs_per_proc),
-                |nd| nd.delivered(),
-                |nd| (nd.peak_history(), nd.peak_waiting()),
-                |nd| nd.residency(),
-                |nd| nd.fanout(),
+                SoakUrcgcNode::residency,
+                SoakUrcgcNode::fanout,
             )
         }
         SoakProtocol::Cbcast => {
-            let load = Load::fixed(msgs_per_proc, 32).unprobed();
             let nodes: Vec<CbcastNode> = (0..n)
-                .map(|i| CbcastNode::new(ProcessId::from_index(i), n, 2, load))
+                .map(|i| CbcastNode::new(ProcessId::from_index(i), n, 2, baseline_load))
                 .collect();
             run_soak(
-                SoakSpec {
-                    protocol: "cbcast",
-                    n,
-                    msgs_per_proc,
-                    seed,
-                    window,
-                    max_rounds,
-                    progress,
-                },
+                spec("cbcast"),
                 nodes,
                 baseline_soak_faults(),
                 |nd| nd.delivered_count(),
@@ -781,20 +509,11 @@ pub fn soak_cell(
             )
         }
         SoakProtocol::Psync => {
-            let load = Load::fixed(msgs_per_proc, 32).unprobed();
             let nodes: Vec<PsyncNode> = (0..n)
-                .map(|i| PsyncNode::new(ProcessId::from_index(i), n, 64, load))
+                .map(|i| PsyncNode::new(ProcessId::from_index(i), n, 64, baseline_load))
                 .collect();
             run_soak(
-                SoakSpec {
-                    protocol: "psync",
-                    n,
-                    msgs_per_proc,
-                    seed,
-                    window,
-                    max_rounds,
-                    progress,
-                },
+                spec("psync"),
                 nodes,
                 baseline_soak_faults(),
                 |nd| nd.delivered_count(),
@@ -806,33 +525,15 @@ pub fn soak_cell(
     }
 }
 
-/// Soaks urcgc: n processes each submitting `msgs_per_proc` messages
-/// back-to-back through real engines.
-pub fn soak_urcgc(n: usize, msgs_per_proc: u64, seed: u64, window: u64) -> SoakReport {
-    soak_cell(SoakProtocol::Urcgc, n, msgs_per_proc, seed, window, true)
-}
-
-/// Soaks CBCAST with probes off (counter-only nodes). Runs the
-/// crash-free plan — see [`baseline_soak_faults`].
-pub fn soak_cbcast(n: usize, msgs_per_proc: u64, seed: u64, window: u64) -> SoakReport {
-    soak_cell(SoakProtocol::Cbcast, n, msgs_per_proc, seed, window, true)
-}
-
-/// Soaks Psync with probes off, on the crash-free plan
-/// ([`baseline_soak_faults`]). Flow control deletes overflow, so the run
-/// may end at the round limit with `completed = false` — expected: the
-/// scenario measures scheduler throughput, not Psync completeness.
-pub fn soak_psync(n: usize, msgs_per_proc: u64, seed: u64, window: u64) -> SoakReport {
-    soak_cell(SoakProtocol::Psync, n, msgs_per_proc, seed, window, true)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use urcgc_simnet::NetCtx;
 
     #[test]
     fn urcgc_soak_smoke_completes_and_counts() {
-        let r = soak_urcgc(5, 40, 7, 16);
+        let r = soak_cell(SoakProtocol::Urcgc, 5, 40, 7, 16, true);
         assert_eq!(r.submitted, 200);
         // The crashed node's in-flight tail can be lost; everyone else
         // processes everything (atomicity over the surviving group).
@@ -1005,17 +706,17 @@ mod tests {
 
     #[test]
     fn baseline_soaks_run_unprobed() {
-        let c = soak_cbcast(5, 30, 7, 16);
+        let c = soak_cell(SoakProtocol::Cbcast, 5, 30, 7, 16, true);
         assert!(c.app_delivered > 0 && c.frames > 0);
         // Reliable channels: CBCAST's causal buffer drains completely.
         assert!(c.completed, "cbcast did not quiesce in {} rounds", c.rounds);
-        let p = soak_psync(5, 30, 7, 16);
+        let p = soak_cell(SoakProtocol::Psync, 5, 30, 7, 16, true);
         assert!(p.app_delivered > 0 && p.frames > 0);
     }
 
     #[test]
     fn soak_report_renders_bench_entry() {
-        let r = soak_urcgc(4, 20, 3, 8);
+        let r = soak_cell(SoakProtocol::Urcgc, 4, 20, 3, 8, true);
         let rendered = r.to_json().render_pretty();
         assert!(rendered.contains("\"name\": \"soak\""));
         assert!(rendered.contains("\"protocol\": \"urcgc\""));

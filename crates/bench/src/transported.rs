@@ -210,31 +210,13 @@ pub fn run_transported(
             ..SimOptions::default()
         },
     );
-    let mut rounds = 0;
-    let mut idle = 0;
-    while rounds < max_rounds {
-        net.step();
-        rounds += 1;
-        // Global completeness: every node delivered everything generated.
-        let complete = net.all_done() && {
-            let total: u64 = net
-                .nodes()
-                .iter()
-                .map(|nd| nd.generated().len() as u64)
-                .sum();
-            net.nodes()
-                .iter()
-                .all(|nd| nd.deliveries().len() as u64 == total)
-        };
-        if complete {
-            idle += 1;
-            if idle >= 8 {
-                break;
-            }
-        } else {
-            idle = 0;
+    // Global completeness: every node delivered everything generated.
+    let rounds = net.run_until_settled(max_rounds, 8, |net| {
+        net.all_done() && {
+            let total: usize = net.nodes().iter().map(|nd| nd.generated().len()).sum();
+            net.nodes().iter().all(|nd| nd.deliveries().len() == total)
         }
-    }
+    });
     let mut generated: HashMap<Mid, Round> = HashMap::new();
     for node in net.nodes() {
         generated.extend(node.generated().iter().map(|(&m, &r)| (m, r)));

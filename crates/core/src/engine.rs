@@ -332,9 +332,13 @@ impl Engine {
     /// group, vectors of the wrong width — are silently dropped: a
     /// hostile frame, or a corrupted one that slipped past the frame
     /// trailer's checksum (callers that build `Pdu`s themselves never ran
-    /// it), must never be able to panic or corrupt a group member.
+    /// it), must never be able to panic or corrupt a group member. So is
+    /// anything from a sender outside the group: `from` is wire-derived on
+    /// a real network (the fragment header's unchecksummed `src`), and the
+    /// recovery handlers answer *to* it.
     pub fn on_pdu(&mut self, from: ProcessId, pdu: Pdu) {
-        if !self.status.is_active() || !self.pdu_is_well_formed(&pdu) {
+        if !self.status.is_active() || from.index() >= self.cfg.n || !self.pdu_is_well_formed(&pdu)
+        {
             return;
         }
         match pdu {
@@ -1255,6 +1259,47 @@ mod tests {
         e2.on_pdu(ProcessId(0), Pdu::RecoveryReply(reply));
         assert_eq!(e2.last_processed(ProcessId(0)), 2);
         assert_eq!(e2.stats().recovered, 2);
+    }
+
+    #[test]
+    fn sender_outside_the_group_is_dropped_not_answered() {
+        // A well-formed recovery request for held messages, arriving with a
+        // sender id the group does not have (`N` itself is the edge case):
+        // the reply would be addressed to that id, so nothing may be queued.
+        let mut e = Engine::new(ProcessId(0), cfg());
+        e.submit(Bytes::from_static(b"1"), &[]).unwrap();
+        e.begin_round(Round(0));
+        while e.poll_output().is_some() {}
+        let rq = RecoveryRq {
+            requester: ProcessId(2),
+            origin: ProcessId(0),
+            after_seq: 0,
+            upto_seq: 1,
+        };
+        for stray in [N as u16, u16::MAX] {
+            e.on_pdu(ProcessId(stray), Pdu::RecoveryRq(rq));
+            e.on_pdu(
+                ProcessId(stray),
+                Pdu::RecoveryBatchRq(RecoveryBatchRq {
+                    requester: ProcessId(2),
+                    wants: vec![RecoveryWant {
+                        origin: rq.origin,
+                        after_seq: rq.after_seq,
+                        upto_seq: rq.upto_seq,
+                    }],
+                }),
+            );
+            assert!(e.poll_output().is_none(), "answered stray sender {stray}");
+        }
+        // The same request from a member is served.
+        e.on_pdu(ProcessId(2), Pdu::RecoveryRq(rq));
+        assert!(matches!(
+            e.poll_output(),
+            Some(Output::Send {
+                to: ProcessId(2),
+                ..
+            })
+        ));
     }
 
     #[test]

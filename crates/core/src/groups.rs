@@ -249,39 +249,21 @@ impl ServerNode {
                     // shared bytes.
                     let cs = CsFrame::Urcgc(Pdu::clone(&pdu));
                     let frame = self.frames.encode_with(|b| cs.encode_into(b));
-                    let mut first = true;
-                    for i in 0..servers {
-                        let to = ProcessId::from_index(i);
-                        if to != me {
-                            if first {
-                                net.send(to, label, frame.clone());
-                                first = false;
-                            } else {
-                                net.send_shared(to, label, frame.clone());
-                            }
-                        }
-                    }
+                    let core = (0..servers).map(ProcessId::from_index);
+                    net.multicast(core.filter(|&to| to != me), label, frame);
                 }
                 Output::Deliver { msg } => {
                     self.processed.push(msg.mid);
                     if self.cfg.diffusion {
                         let cs = CsFrame::Diffusion(Arc::clone(&msg));
                         let frame = self.frames.encode_with(|b| cs.encode_into(b));
-                        let mut first = true;
-                        for c in 0..self.cfg.clients {
-                            // Each client receives the diffusion from its
-                            // home server only (one copy, not one per
-                            // server).
-                            let client = ProcessId::from_index(servers + c);
-                            if self.cfg.home_server(client) == self.engine.me() {
-                                if first {
-                                    net.send(client, "diffusion", frame.clone());
-                                    first = false;
-                                } else {
-                                    net.send_shared(client, "diffusion", frame.clone());
-                                }
-                            }
-                        }
+                        // Each client receives the diffusion from its
+                        // home server only (one copy, not one per server).
+                        let (cfg, me) = (&self.cfg, self.engine.me());
+                        let homed = (servers..servers + cfg.clients)
+                            .map(ProcessId::from_index)
+                            .filter(|&client| cfg.home_server(client) == me);
+                        net.multicast(homed, "diffusion", frame);
                     }
                 }
                 Output::Confirm { mid } => {
@@ -534,20 +516,7 @@ pub fn run_client_server(
             ..SimOptions::default()
         },
     );
-    let mut rounds = 0;
-    let mut idle = 0;
-    while rounds < max_rounds {
-        net.step();
-        rounds += 1;
-        if net.all_done() {
-            idle += 1;
-            if idle >= 8 {
-                break;
-            }
-        } else {
-            idle = 0;
-        }
-    }
+    let rounds = net.run_until_settled(max_rounds, 8, SimNet::all_done);
     let server_logs = net
         .nodes()
         .iter()

@@ -212,8 +212,10 @@ impl Node {
     /// dropped after the 9-byte header read — counted in
     /// [`Node::foreign_frames`], never decoded, never shown to any engine:
     /// the genuineness property, enforced structurally. Envelope or inner
-    /// decode failures count as [`Node::undecodable`] (corruption
-    /// degenerates to omission, which the protocol recovers from).
+    /// decode failures, and a `from` outside the destination group (the
+    /// sender id is wire-derived and unchecksummed), count as
+    /// [`Node::undecodable`] (corruption degenerates to omission, which the
+    /// protocol recovers from).
     pub fn on_frame(&mut self, from: ProcessId, frame: &Bytes) -> Option<GroupId> {
         let gf = match decode_group(frame) {
             Ok(gf) => gf,
@@ -226,7 +228,7 @@ impl Node {
             self.foreign_frames += 1;
             return None;
         };
-        if engine.on_frame(from, &gf.inner).is_err() {
+        if from.index() >= engine.config().n || engine.on_frame(from, &gf.inner).is_err() {
             self.undecodable += 1;
             return None;
         }
@@ -409,6 +411,26 @@ mod tests {
         assert_eq!(node.on_frame(ProcessId(1), &enveloped), None);
         assert_eq!(node.undecodable(), 2);
         assert_eq!(node.foreign_frames(), 0);
+    }
+
+    #[test]
+    fn a_sender_outside_the_group_counts_as_undecodable() {
+        // A clean frame of group A, arriving under a sender id the group
+        // (n = 2) does not have: dropped before the engine, and counted.
+        let mut peer = two_group_node(1);
+        peer.submit(GA, Bytes::from_static(b"x"), &[]).unwrap();
+        peer.begin_round(Round(0));
+        let (group, out) = peer.poll_output().expect("a broadcast");
+        let Output::Broadcast { pdu } = out else {
+            panic!("expected the data broadcast, got {out:?}");
+        };
+        let wire = peer.encode(group, &pdu);
+        let mut node = two_group_node(0);
+        assert_eq!(node.on_frame(ProcessId(2), &wire), None);
+        assert_eq!(node.undecodable(), 1);
+        assert!(node.poll_output().is_none());
+        assert_eq!(node.on_frame(ProcessId(1), &wire), Some(GA));
+        assert_eq!(node.undecodable(), 1);
     }
 
     #[test]

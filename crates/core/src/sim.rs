@@ -16,8 +16,8 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use urcgc_overlay::{Disseminator, OverlayConfig, RelayDisposition};
-use urcgc_simnet::{Adversary, FaultPlan, NetCtx, Node, RunOutcome, SimNet, SimOptions, SimStats};
-use urcgc_types::{FrameCache, Mid, ProcessId, ProtocolConfig, Round};
+use urcgc_simnet::{Adversary, FaultPlan, NetCtx, Node, SimNet, SimOptions, SimStats};
+use urcgc_types::{DataMsg, FrameCache, Mid, ProcessId, ProtocolConfig, Round};
 
 use crate::engine::Engine;
 use crate::output::{Output, ProcessStatus};
@@ -89,12 +89,49 @@ impl Workload {
     }
 }
 
-/// One simulated group member: engine + workload generator + probes.
-pub struct UrcgcNode {
-    engine: Engine,
-    workload: Workload,
-    rng: ChaCha8Rng,
-    submitted: u64,
+/// The workload-quiescence rule every harness terminates on, in-model and
+/// on the real network alike: the member generated its whole budget, holds
+/// no backlog, and has no *known gap* — the latest decision names no
+/// process that has processed further than this member has (for origins
+/// whose advertised holder is alive and not itself; such a gap means
+/// recovery is still owed). A member that left has nothing left to do.
+pub fn workload_quiescent(engine: &Engine, submitted: u64, budget: u64) -> bool {
+    if !engine.status().is_active() {
+        return true;
+    }
+    if submitted < budget || !engine.gauges().is_drained() {
+        return false;
+    }
+    let d = engine.last_decision();
+    (0..d.n()).all(|q| {
+        let hint = &d.max_processed[q];
+        hint.seq <= engine.last_processed(ProcessId::from_index(q))
+            || !engine.view().is_alive(hint.holder)
+            || hint.holder == engine.me()
+    })
+}
+
+/// What a [`Member`] records about its run. A probe only ever *observes*
+/// engine effects — it cannot steer the protocol — so the checker's
+/// [`FullProbe`] members and the soak's [`CountingProbe`] members run the
+/// same driver, bit for bit.
+pub trait Probe: Default {
+    /// An own message was generated at `round`.
+    fn generated(&mut self, _mid: Mid, _round: Round) {}
+    /// A logical broadcast left this member as `copies` wire copies.
+    fn broadcast(&mut self, _copies: usize) {}
+    /// A message was processed here at `round`.
+    fn delivered(&mut self, msg: &DataMsg, round: Round);
+    /// Orphan destruction discarded waiting messages here.
+    fn discarded(&mut self, mids: Vec<Mid>);
+    /// The member finished its actions for `round`.
+    fn end_of_round(&mut self, round: Round, engine: &Engine);
+}
+
+/// Per-message probes: everything the checker's oracles, the figures and
+/// the golden digests read. Resident state grows with the run.
+#[derive(Default)]
+pub struct FullProbe {
     /// mid → round at which *this* node processed it.
     deliveries: HashMap<Mid, Round>,
     /// Exact local processing order (the causal-order witness for tests).
@@ -103,14 +140,88 @@ pub struct UrcgcNode {
     deps_of: HashMap<Mid, Vec<Mid>>,
     /// mid → round at which this node *generated* it.
     generated: HashMap<Mid, Round>,
-    /// Most recently processed foreign message (for [`DepPolicy`]).
-    latest_foreign: Option<Mid>,
     /// Orphan-destruction victims observed here.
     discarded: Vec<Mid>,
     /// (round, history length) samples, one per round.
     history_series: Vec<(u64, usize)>,
     /// (round, waiting length) samples, one per round.
     waiting_series: Vec<(u64, usize)>,
+}
+
+impl Probe for FullProbe {
+    fn generated(&mut self, mid: Mid, round: Round) {
+        self.generated.insert(mid, round);
+    }
+
+    fn delivered(&mut self, msg: &DataMsg, round: Round) {
+        self.deliveries.insert(msg.mid, round);
+        self.delivery_log.push(msg.mid);
+        self.deps_of.insert(msg.mid, msg.deps.clone());
+    }
+
+    fn discarded(&mut self, mids: Vec<Mid>) {
+        self.discarded.extend(mids);
+    }
+
+    fn end_of_round(&mut self, round: Round, engine: &Engine) {
+        let g = engine.gauges();
+        self.history_series.push((round.0, g.history_len));
+        self.waiting_series.push((round.0, g.waiting_len));
+    }
+}
+
+/// Counters and peak gauges only — no delivery log, no per-mid maps, no
+/// per-round series — so a soak's resident state stays O(1) per member
+/// however many rounds it runs.
+#[derive(Default)]
+pub struct CountingProbe {
+    delivered: u64,
+    discarded: u64,
+    peak_history: usize,
+    peak_waiting: usize,
+    /// Logical broadcasts this node originated (data + decision PDUs).
+    broadcasts: u64,
+    /// Wire copies those broadcasts cost at the origin: n−1 each under
+    /// direct dissemination, ≤ degree under the overlay. The ratio is the
+    /// origin fan-out the overlay exists to flatten.
+    broadcast_copies: u64,
+}
+
+impl Probe for CountingProbe {
+    fn broadcast(&mut self, copies: usize) {
+        self.broadcasts += 1;
+        self.broadcast_copies += copies as u64;
+    }
+
+    fn delivered(&mut self, _msg: &DataMsg, _round: Round) {
+        self.delivered += 1;
+    }
+
+    fn discarded(&mut self, mids: Vec<Mid>) {
+        self.discarded += mids.len() as u64;
+    }
+
+    fn end_of_round(&mut self, _round: Round, engine: &Engine) {
+        // stats() refreshes the two peak gauges in O(1); gauges() would
+        // also walk the per-origin purge-lag vector, which this per-round
+        // hot path does not need.
+        let s = engine.stats();
+        self.peak_history = self.peak_history.max(s.history_len);
+        self.peak_waiting = self.peak_waiting.max(s.waiting);
+    }
+}
+
+/// One simulated group member: engine + workload generator + probe. The
+/// only in-model driver of an [`Engine`] onto [`urcgc_simnet`]; what it
+/// records is the probe's business ([`UrcgcNode`] for the checker and the
+/// figures, `urcgc_bench::soak::SoakUrcgcNode` for the soak cells).
+pub struct Member<P: Probe> {
+    engine: Engine,
+    workload: Workload,
+    rng: ChaCha8Rng,
+    submitted: u64,
+    /// Most recently processed foreign message (for [`DepPolicy`]).
+    latest_foreign: Option<Mid>,
     /// Frames that failed to decode (corruption casualties).
     undecodable: u64,
     /// Reused encode arena: one allocation per outgoing frame, shared
@@ -119,33 +230,32 @@ pub struct UrcgcNode {
     /// Optional overlay relay layer. `None` (the default) keeps the
     /// paper's direct n-unicast broadcast path, bit for bit.
     overlay: Option<Disseminator>,
+    probe: P,
 }
 
-impl UrcgcNode {
-    /// Builds the node for process `me`.
+/// The fully probed member (checker, figures, golden digests).
+pub type UrcgcNode = Member<FullProbe>;
+
+impl<P: Probe> Member<P> {
+    /// Builds the member for process `me`. The workload RNG stream depends
+    /// on `(seed, me)` only, so runs are comparable across probes.
     pub fn new(me: ProcessId, cfg: ProtocolConfig, workload: Workload, seed: u64) -> Self {
-        UrcgcNode {
+        Member {
             engine: Engine::new(me, cfg),
             workload,
             rng: ChaCha8Rng::seed_from_u64(
                 seed ^ (0x9E37_79B9_7F4A_7C15u64).wrapping_mul(me.0 as u64 + 1),
             ),
             submitted: 0,
-            deliveries: HashMap::new(),
-            delivery_log: Vec::new(),
-            deps_of: HashMap::new(),
-            generated: HashMap::new(),
             latest_foreign: None,
-            discarded: Vec::new(),
-            history_series: Vec::new(),
-            waiting_series: Vec::new(),
             undecodable: 0,
             frames: FrameCache::new(),
             overlay: None,
+            probe: P::default(),
         }
     }
 
-    /// Routes this node's `data`/`decision` broadcasts over the overlay
+    /// Routes this member's `data`/`decision` broadcasts over the overlay
     /// instead of direct n-unicast (control traffic stays direct). Every
     /// group member must be given the same config.
     pub fn with_overlay(mut self, cfg: OverlayConfig) -> Self {
@@ -154,9 +264,28 @@ impl UrcgcNode {
         self
     }
 
-    /// The overlay relay layer, if enabled.
-    pub fn overlay(&self) -> Option<&Disseminator> {
-        self.overlay.as_ref()
+    /// All `cfg.n` members of one group, sharing `workload`, `seed` and
+    /// (when given) the overlay layout.
+    pub fn group(
+        cfg: &ProtocolConfig,
+        workload: &Workload,
+        seed: u64,
+        overlay: Option<&OverlayConfig>,
+    ) -> Vec<Self> {
+        (0..cfg.n)
+            .map(|i| {
+                let member = Self::new(
+                    ProcessId::from_index(i),
+                    cfg.clone(),
+                    workload.clone(),
+                    seed,
+                );
+                match overlay {
+                    Some(ov) => member.with_overlay(ov.clone()),
+                    None => member,
+                }
+            })
+            .collect()
     }
 
     /// The wrapped engine.
@@ -164,44 +293,9 @@ impl UrcgcNode {
         &self.engine
     }
 
-    /// Messages this node has generated so far.
+    /// Messages this member has generated so far.
     pub fn submitted(&self) -> u64 {
         self.submitted
-    }
-
-    /// Per-mid local processing rounds.
-    pub fn deliveries(&self) -> &HashMap<Mid, Round> {
-        &self.deliveries
-    }
-
-    /// The exact order in which this node processed messages.
-    pub fn delivery_log(&self) -> &[Mid] {
-        &self.delivery_log
-    }
-
-    /// The published dependency list of a message processed here.
-    pub fn deps_of(&self, mid: Mid) -> Option<&[Mid]> {
-        self.deps_of.get(&mid).map(Vec::as_slice)
-    }
-
-    /// Per-mid generation rounds (own messages only).
-    pub fn generated(&self) -> &HashMap<Mid, Round> {
-        &self.generated
-    }
-
-    /// Orphan-destruction victims observed by this node.
-    pub fn discarded(&self) -> &[Mid] {
-        &self.discarded
-    }
-
-    /// Per-round history-length samples.
-    pub fn history_series(&self) -> &[(u64, usize)] {
-        &self.history_series
-    }
-
-    /// Per-round waiting-list samples.
-    pub fn waiting_series(&self) -> &[(u64, usize)] {
-        &self.waiting_series
     }
 
     /// Frames dropped because they failed to decode (corruption).
@@ -209,24 +303,11 @@ impl UrcgcNode {
         self.undecodable
     }
 
-    /// Whether the node has generated its whole budget and holds no
-    /// backlog — including no *known gap*: the latest decision must not
-    /// name any process that has processed further than this node has
-    /// (such a gap means recovery is still owed).
-    pub fn is_quiescent(&self) -> bool {
-        if !self.engine.status().is_active() {
-            return true;
-        }
-        if self.submitted < self.workload.total || !self.engine.gauges().is_drained() {
-            return false;
-        }
-        let d = self.engine.last_decision();
-        (0..d.n()).all(|q| {
-            let p = ProcessId::from_index(q);
-            d.max_processed[q].seq <= self.engine.last_processed(p)
-                || !self.engine.view().is_alive(d.max_processed[q].holder)
-                || d.max_processed[q].holder == self.engine.me()
-        })
+    /// Current history residency: (live segments, payload bytes, purge
+    /// lag in messages). Sampled by the soak loop at window boundaries.
+    pub fn residency(&self) -> (usize, usize, u64) {
+        let g = self.engine.gauges();
+        (g.history_segments, g.history_bytes, g.purge_lag)
     }
 
     fn maybe_generate(&mut self, round: Round) {
@@ -241,16 +322,14 @@ impl UrcgcNode {
             DepPolicy::LatestForeign => self.latest_foreign.into_iter().collect(),
         };
         let payload = Bytes::from(vec![0u8; self.workload.payload_size]);
-        match self.engine.submit(payload, &deps) {
-            Ok(mid) => {
-                self.submitted += 1;
-                self.generated.insert(mid, round);
-            }
-            Err(_) => { /* entity no longer active */ }
+        // An entity that is no longer active rejects the submission.
+        if let Ok(mid) = self.engine.submit(payload, &deps) {
+            self.submitted += 1;
+            self.probe.generated(mid, round);
         }
     }
 
-    /// Drains engine effects into the network and the probes.
+    /// Drains engine effects into the network and the probe.
     fn flush(&mut self, net: &mut NetCtx<'_>) {
         let me = self.engine.me();
         while let Some(out) = self.engine.poll_output() {
@@ -265,33 +344,28 @@ impl UrcgcNode {
                         Some(ov) => {
                             ov.sync_view(self.engine.view().flags());
                             let (envelope, targets) = ov.broadcast(&inner);
-                            for (i, to) in targets.into_iter().enumerate() {
-                                if i == 0 {
-                                    net.send(to, kind, envelope.clone());
-                                } else {
-                                    net.send_shared(to, kind, envelope.clone());
-                                }
-                            }
+                            self.probe.broadcast(targets.len());
+                            net.multicast(targets, kind, envelope);
                         }
-                        None => net.broadcast(kind, inner),
+                        None => {
+                            self.probe.broadcast(net.n() - 1);
+                            net.broadcast(kind, inner);
+                        }
                     }
                 }
                 Output::Deliver { msg } => {
-                    self.deliveries.insert(msg.mid, net.round());
-                    self.delivery_log.push(msg.mid);
-                    self.deps_of.insert(msg.mid, msg.deps.clone());
+                    self.probe.delivered(&msg, net.round());
                     if msg.mid.origin != me {
                         self.latest_foreign = Some(msg.mid);
                     }
                 }
-                Output::Confirm { .. } => {}
-                Output::Discarded { mids } => self.discarded.extend(mids),
-                Output::StatusChanged { .. } => {}
+                Output::Discarded { mids } => self.probe.discarded(mids),
+                Output::Confirm { .. } | Output::StatusChanged { .. } => {}
             }
         }
     }
 
-    /// Handles an arriving overlay envelope: forward-once to this node's
+    /// Handles an arriving overlay envelope: forward-once to this member's
     /// children of the origin's tree, then unwrap and feed the engine.
     fn on_relay_frame(&mut self, frame: &Bytes, net: &mut NetCtx<'_>) {
         let disposition = {
@@ -319,14 +393,77 @@ impl UrcgcNode {
     }
 }
 
-impl Node for UrcgcNode {
+impl Member<FullProbe> {
+    /// Per-mid local processing rounds.
+    pub fn deliveries(&self) -> &HashMap<Mid, Round> {
+        &self.probe.deliveries
+    }
+
+    /// The exact order in which this node processed messages.
+    pub fn delivery_log(&self) -> &[Mid] {
+        &self.probe.delivery_log
+    }
+
+    /// The published dependency list of a message processed here.
+    pub fn deps_of(&self, mid: Mid) -> Option<&[Mid]> {
+        self.probe.deps_of.get(&mid).map(Vec::as_slice)
+    }
+
+    /// Per-mid generation rounds (own messages only).
+    pub fn generated(&self) -> &HashMap<Mid, Round> {
+        &self.probe.generated
+    }
+
+    /// Orphan-destruction victims observed by this node.
+    pub fn discarded(&self) -> &[Mid] {
+        &self.probe.discarded
+    }
+
+    /// Per-round history-length samples.
+    pub fn history_series(&self) -> &[(u64, usize)] {
+        &self.probe.history_series
+    }
+
+    /// Per-round waiting-list samples.
+    pub fn waiting_series(&self) -> &[(u64, usize)] {
+        &self.probe.waiting_series
+    }
+}
+
+impl Member<CountingProbe> {
+    /// Application messages processed here.
+    pub fn delivered(&self) -> u64 {
+        self.probe.delivered
+    }
+
+    /// Peak history table length observed.
+    pub fn peak_history(&self) -> usize {
+        self.probe.peak_history
+    }
+
+    /// Peak waiting-list length observed.
+    pub fn peak_waiting(&self) -> usize {
+        self.probe.peak_waiting
+    }
+
+    /// Orphan-destruction victims plus undecodable frames seen here.
+    pub fn losses(&self) -> u64 {
+        self.probe.discarded + self.undecodable
+    }
+
+    /// (logical broadcasts originated, wire copies they cost at this
+    /// origin) — the per-process fan-out gauge.
+    pub fn fanout(&self) -> (u64, u64) {
+        (self.probe.broadcasts, self.probe.broadcast_copies)
+    }
+}
+
+impl<P: Probe> Node for Member<P> {
     fn on_round(&mut self, round: Round, net: &mut NetCtx<'_>) {
         self.maybe_generate(round);
         self.engine.begin_round(round);
         self.flush(net);
-        let g = self.engine.gauges();
-        self.history_series.push((round.0, g.history_len));
-        self.waiting_series.push((round.0, g.waiting_len));
+        self.probe.end_of_round(round, &self.engine);
     }
 
     fn on_frame(&mut self, from: ProcessId, frame: Bytes, net: &mut NetCtx<'_>) {
@@ -342,7 +479,7 @@ impl Node for UrcgcNode {
     }
 
     fn is_done(&self) -> bool {
-        self.is_quiescent()
+        workload_quiescent(&self.engine, self.submitted, self.workload.total)
     }
 }
 
@@ -400,23 +537,8 @@ impl GroupHarnessBuilder {
 
     /// Builds the harness.
     pub fn build(self) -> GroupHarness {
-        let n = self.cfg.n;
-        let nodes: Vec<UrcgcNode> = (0..n)
-            .map(|i| {
-                let node = UrcgcNode::new(
-                    ProcessId::from_index(i),
-                    self.cfg.clone(),
-                    self.workload.clone(),
-                    self.seed,
-                );
-                match &self.overlay {
-                    Some(ov) => node.with_overlay(ov.clone()),
-                    None => node,
-                }
-            })
-            .collect();
         let mut net = SimNet::new(
-            nodes,
+            UrcgcNode::group(&self.cfg, &self.workload, self.seed, self.overlay.as_ref()),
             self.faults,
             SimOptions {
                 max_rounds: self.max_rounds,
@@ -464,23 +586,10 @@ impl GroupHarness {
     /// waiting backlog) — plus a short drain so in-flight frames settle —
     /// or until `max_rounds`. Returns the collected report.
     pub fn run_to_completion(&mut self, max_rounds: u64) -> GroupReport {
-        let mut quiescent_streak = 0u64;
-        let mut rounds = 0u64;
-        while rounds < max_rounds {
-            self.net.step();
-            rounds += 1;
-            if self.net.all_done() {
-                quiescent_streak += 1;
-                // Let in-flight frames and two more decision subruns settle
-                // (stability, cleaning and gap detection lag behind the
-                // last data message by up to a subrun each).
-                if quiescent_streak >= 8 {
-                    break;
-                }
-            } else {
-                quiescent_streak = 0;
-            }
-        }
+        // Let in-flight frames and two more decision subruns settle
+        // (stability, cleaning and gap detection lag behind the last data
+        // message by up to a subrun each).
+        let rounds = self.net.run_until_settled(max_rounds, 8, SimNet::all_done);
         self.report(rounds)
     }
 
@@ -686,14 +795,6 @@ impl GroupReport {
             .map(|&(r, l)| (urcgc_simnet::rounds_to_rtd(r), l as f64))
             .collect()
     }
-}
-
-/// A run outcome plus report, for callers that need both.
-pub struct CompletedRun {
-    /// Why the engine stopped.
-    pub outcome: RunOutcome,
-    /// The measurements.
-    pub report: GroupReport,
 }
 
 #[cfg(test)]
@@ -1006,6 +1107,54 @@ mod tests {
             )
         };
         assert_eq!(run(5), run(5));
+    }
+
+    /// One faulty cell (omissions, a slow sender, a mid-run crash) over
+    /// members recording through `P`: rounds run, the simulator's whole
+    /// counter set (rendered, so every field takes part) and the members.
+    fn faulty_cell<P: Probe>(
+        n: usize,
+        overlay: Option<OverlayConfig>,
+    ) -> (u64, String, Vec<Member<P>>) {
+        let cfg = ProtocolConfig::new(n).with_k(4);
+        let faults = FaultPlan::none()
+            .omission_rate(0.01)
+            .slow_sender(ProcessId(1), 2)
+            .crash_at(ProcessId::from_index(n - 1), Round(12));
+        let workload = Workload::bernoulli(0.7, 20, 16);
+        let members = Member::<P>::group(&cfg, &workload, 77, overlay.as_ref());
+        let opts = SimOptions {
+            seed: 77,
+            ..SimOptions::default()
+        };
+        let mut net = SimNet::new(members, faults, opts);
+        let rounds = net.run_until_settled(6_000, 8, SimNet::all_done);
+        assert!(net.all_done(), "cell did not quiesce");
+        let (members, stats) = net.into_parts();
+        (rounds, format!("{stats:?}"), members)
+    }
+
+    #[test]
+    fn a_probe_never_steers_the_protocol() {
+        for (n, overlay) in [(5, None), (12, Some(OverlayConfig::tree(3, 0xfeed)))] {
+            let (full_rounds, full_stats, full) = faulty_cell::<FullProbe>(n, overlay.clone());
+            let (rounds, stats, counting) = faulty_cell::<CountingProbe>(n, overlay.clone());
+            assert_eq!(rounds, full_rounds, "n={n}");
+            // Frames, encoded/shared/relayed bytes, per-kind traffic, every
+            // fault counter and the byte timeline.
+            assert_eq!(stats, full_stats, "n={n}");
+            assert_eq!(stats.contains("relayed_bytes: 0"), overlay.is_none());
+            for (c, f) in counting.iter().zip(&full) {
+                assert_eq!(c.delivered(), f.delivery_log().len() as u64);
+                assert_eq!(c.submitted(), f.submitted());
+                assert_eq!(c.residency(), f.residency());
+                assert_eq!(
+                    c.peak_history(),
+                    f.history_series().iter().map(|s| s.1).max().unwrap_or(0)
+                );
+            }
+            assert!(counting.iter().any(|c| c.delivered() > 0));
+        }
     }
 
     #[test]

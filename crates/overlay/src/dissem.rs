@@ -44,6 +44,9 @@ pub enum RelayDisposition {
 /// Per-process overlay relay state.
 pub struct Disseminator {
     me: ProcessId,
+    /// Group cardinality: an envelope naming an origin at or past it is
+    /// not from this group.
+    n: usize,
     plan: Plan,
     /// Next sequence number for this process's own broadcasts.
     next_seq: u64,
@@ -67,6 +70,7 @@ impl Disseminator {
     pub fn new(me: ProcessId, n: usize, cfg: OverlayConfig) -> Disseminator {
         Disseminator {
             me,
+            n,
             plan: Plan::build(cfg, &vec![true; n]),
             next_seq: 0,
             seen: RelaySeen::new(),
@@ -111,6 +115,11 @@ impl Disseminator {
         let Ok(relay) = decode_relay(frame) else {
             return RelayDisposition::Undecodable;
         };
+        // The origin sizes the dedup table and becomes the engine's `from`:
+        // the wire must not choose either.
+        if relay.origin.index() >= self.n {
+            return RelayDisposition::Undecodable;
+        }
         if !self.seen.insert(relay.origin, relay.seq) {
             self.duplicates += 1;
             return RelayDisposition::Duplicate;
@@ -318,6 +327,22 @@ mod tests {
             other.on_frame(&Bytes::from(raw)),
             RelayDisposition::Undecodable
         );
+    }
+
+    #[test]
+    fn origin_outside_the_group_never_touches_the_dedup_table() {
+        let n = 4;
+        let mut d = Disseminator::new(ProcessId(1), n, OverlayConfig::tree(2, 0));
+        for stray in [n as u16, u16::MAX] {
+            let env = urcgc_transport::relay::encode_relay(ProcessId(stray), 0, &frame(1));
+            assert_eq!(d.on_frame(&env), RelayDisposition::Undecodable);
+        }
+        assert_eq!(d.seen.tracked_origins(), 0, "the wire sized the table");
+        assert_eq!(d.duplicates(), 0);
+        // The last member's id is the largest one accepted.
+        let env = urcgc_transport::relay::encode_relay(ProcessId(3), 0, &frame(1));
+        assert!(matches!(d.on_frame(&env), RelayDisposition::Deliver { .. }));
+        assert_eq!(d.seen.tracked_origins(), n);
     }
 
     #[cfg(feature = "checker-knobs")]

@@ -147,14 +147,17 @@ pub struct Plan {
 impl Plan {
     /// Builds the plan for `alive` (flag per process index).
     pub fn build(cfg: OverlayConfig, alive: &[bool]) -> Plan {
-        let seed = cfg.seed;
-        let mut perm: Vec<ProcessId> = alive
-            .iter()
-            .enumerate()
-            .filter(|(_, &a)| a)
-            .map(|(i, _)| ProcessId::from_index(i))
-            .collect();
-        perm.sort_unstable_by_key(|p| (mix(seed ^ (u64::from(p.0) << 1 | 1)), p.0));
+        // Hash each member once, not twice per comparison: the pairs sort
+        // by (hash, id), the same key and tie-break as ever.
+        let mut keyed: Vec<(u64, u16)> = Vec::with_capacity(alive.len());
+        keyed.extend(
+            (0u16..)
+                .zip(alive)
+                .filter(|(_, &a)| a)
+                .map(|(p, _)| (mix(cfg.seed ^ (u64::from(p) << 1 | 1)), p)),
+        );
+        keyed.sort_unstable();
+        let perm: Vec<ProcessId> = keyed.into_iter().map(|(_, p)| ProcessId(p)).collect();
         let mut pos = vec![None; alive.len()];
         for (at, p) in perm.iter().enumerate() {
             pos[p.index()] = Some(at);
@@ -306,6 +309,29 @@ mod tests {
                     .sum();
                 assert_eq!(edges, n - 1, "n={n} origin={origin}");
             }
+        }
+    }
+
+    #[test]
+    fn permutation_is_the_members_sorted_by_seeded_hash_then_id() {
+        // The definition, spelled with the hash inside the comparison (how
+        // the planner computed it before it hashed each member once).
+        for (n, seed) in [
+            (9, 0xfeed),
+            (7, 0xbeef),
+            (6, 99),
+            (100, 7 ^ 0xE701),
+            (1000, 3),
+        ] {
+            let mut flags = alive(n);
+            flags[n / 2] = false;
+            let mut expected: Vec<ProcessId> = (0..n)
+                .filter(|&i| flags[i])
+                .map(ProcessId::from_index)
+                .collect();
+            expected.sort_unstable_by_key(|p| (mix(seed ^ (u64::from(p.0) << 1 | 1)), p.0));
+            let plan = Plan::build(OverlayConfig::tree(3, seed), &flags);
+            assert_eq!(plan.permutation(), expected, "n={n} seed={seed:#x}");
         }
     }
 

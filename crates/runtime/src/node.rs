@@ -238,18 +238,9 @@ enum Cmd {
         deps: Vec<Mid>,
         resp: Sender<Result<Mid, String>>,
     },
-    Status {
-        resp: Sender<ProcessStatus>,
-    },
-    Stats {
-        resp: Sender<EngineStats>,
-    },
-    Snapshot {
-        resp: Sender<EngineSnapshot>,
-    },
-    /// Run a closure against the live engine on the driver thread — the
-    /// observation hook the loopback-cluster harness uses to evaluate
-    /// quiescence without widening the engine's query API.
+    /// Run a closure against the live engine on the driver thread — every
+    /// query of the handle (status, counters, snapshot, the harnesses'
+    /// quiescence predicate) is one of these.
     Probe(Box<dyn FnOnce(&Engine) + Send>),
     /// Hard-kill the process (simulated crash: the driver exits
     /// immediately, mid-protocol, without telling anyone).
@@ -316,27 +307,18 @@ impl ProcessHandle {
 
     /// Queries the entity's life-cycle status.
     pub fn status(&self) -> Result<ProcessStatus, GroupError> {
-        let (resp, rx) = mpsc::channel();
-        self.send(Event::Cmd(Cmd::Status { resp }))?;
-        rx.recv_timeout(CMD_TIMEOUT)
-            .map_err(|_| GroupError::ProcessGone)
+        self.with_engine(Engine::status)
     }
 
     /// Queries the entity's live counters.
     pub fn stats(&self) -> Result<EngineStats, GroupError> {
-        let (resp, rx) = mpsc::channel();
-        self.send(Event::Cmd(Cmd::Stats { resp }))?;
-        rx.recv_timeout(CMD_TIMEOUT)
-            .map_err(|_| GroupError::ProcessGone)
+        self.with_engine(Engine::stats)
     }
 
     /// Takes a full serializable snapshot of the entity's state (frontiers,
     /// view, backlog, counters) — the operations surface.
     pub fn snapshot(&self) -> Result<EngineSnapshot, GroupError> {
-        let (resp, rx) = mpsc::channel();
-        self.send(Event::Cmd(Cmd::Snapshot { resp }))?;
-        rx.recv_timeout(CMD_TIMEOUT)
-            .map_err(|_| GroupError::ProcessGone)
+        self.with_engine(Engine::snapshot)
     }
 
     /// Runs `f` against the live engine on the driver thread and returns
@@ -524,27 +506,6 @@ pub fn spawn_member(
     spawn_member_on(socket, me, peers, cfg, opts)
 }
 
-/// The workload-quiescence predicate the soak harnesses use: the member
-/// generated its whole budget, has no backlog, and its frontier covers
-/// every recovery hint in the last decision (for origins whose advertised
-/// holder is alive and not itself). Mirrors the simulator soak's rule, so
-/// in-model and real-network runs terminate on the same condition.
-pub fn workload_quiescent(engine: &Engine, submitted: u64, budget: u64) -> bool {
-    if !engine.status().is_active() {
-        return true; // a dead member has nothing left to do
-    }
-    if submitted < budget || !engine.gauges().is_drained() {
-        return false;
-    }
-    let d = engine.last_decision();
-    (0..d.n()).all(|q| {
-        let hint = &d.max_processed[q];
-        hint.seq <= engine.last_processed(ProcessId::from_index(q))
-            || !engine.view().is_alive(hint.holder)
-            || hint.holder == engine.me()
-    })
-}
-
 fn hello(tag: u8, me: ProcessId) -> [u8; HELLO_LEN] {
     let [lo, hi] = me.0.to_le_bytes();
     [tag, lo, hi]
@@ -607,16 +568,20 @@ fn receiver_loop(
         match socket.recv_from(&mut buf) {
             Ok((len, _)) => {
                 net.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                if let Some((_, from)) = parse_hello(&buf[..len]) {
-                    seen.insert(from);
-                } else {
-                    // A peer past its barrier is already talking protocol:
-                    // that counts as presence, and the frame must not be
-                    // lost — forward it.
-                    if let Some(from) = peek_src(&buf[..len]) {
-                        seen.insert(from);
+                let from = match parse_hello(&buf[..len]) {
+                    Some((_, from)) => Some(from),
+                    None => {
+                        // A peer past its barrier is already talking
+                        // protocol: that counts as presence, and the frame
+                        // must not be lost — forward it.
+                        forward(tx, net, &buf[..len]);
+                        peek_src(&buf[..len])
                     }
-                    forward(tx, net, &buf[..len]);
+                };
+                // Neither id is checksummed: one outside the group is
+                // nobody, and must not shorten the barrier.
+                if let Some(from) = from.filter(|p| p.index() < peers.len()) {
+                    seen.insert(from);
                 }
             }
             Err(e) if would_block(&e) => {}
@@ -815,15 +780,6 @@ fn driver_loop(
                         .map_err(|e| e.to_string());
                     let _ = resp.send(result);
                 }
-                Cmd::Status { resp } => {
-                    let _ = resp.send(hosted(&node, group).status());
-                }
-                Cmd::Stats { resp } => {
-                    let _ = resp.send(hosted(&node, group).stats());
-                }
-                Cmd::Snapshot { resp } => {
-                    let _ = resp.send(hosted(&node, group).snapshot());
-                }
                 Cmd::Probe(f) => f(hosted(&node, group)),
                 Cmd::Kill | Cmd::Shutdown => break,
             },
@@ -853,9 +809,14 @@ fn flush(
     while let Some((group, out)) = node.poll_output() {
         match out {
             Output::Send { to, pdu } => {
+                // `to` can echo a wire-derived sender id; an address we
+                // do not have is an omission, never a panic.
+                let Some(addr) = peers.get(to.index()) else {
+                    continue;
+                };
                 let frame = node.encode(group, &pdu);
                 for gram in frag.split(&frame) {
-                    let _ = socket.send_to(&gram, peers[to.index()]);
+                    let _ = socket.send_to(&gram, addr);
                     net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
                 }
             }

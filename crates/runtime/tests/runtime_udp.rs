@@ -9,10 +9,13 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use urcgc_runtime::{
-    spawn_member_on, workload_quiescent, AppEvent, GroupShutdown, LossyProxy, NodeOptions,
-    ProcessHandle, ProxyOptions, UdpGroup,
+    spawn_member_on, workload_quiescent, AppEvent, Fragmenter, GroupShutdown, LossyProxy,
+    NodeOptions, ProcessHandle, ProxyOptions, Reassembler, UdpGroup,
 };
-use urcgc_types::{Mid, ProcessId, ProtocolConfig};
+use urcgc_types::{
+    decode_group, encode_group, encode_pdu, frame_kind, GroupId, Mid, Pdu, PduKind, ProcessId,
+    ProtocolConfig, RecoveryRq,
+};
 
 fn drain_until(handle: &mut ProcessHandle, expect: usize, secs: u64) -> Vec<Mid> {
     let mut got = Vec::new();
@@ -424,6 +427,81 @@ fn a_member_past_its_barrier_acks_hellos_and_never_answers_acks() {
         Vec::<[u8; 3]>::new(),
         "an ack must never be answered"
     );
+    drop(handle);
+    shutdown.shutdown();
+}
+
+#[test]
+fn a_sender_id_outside_the_group_costs_one_malformed_frame() {
+    // The fragment header's `src` carries no checksum, and the engine
+    // answers a recovery request *to* its sender: a well-formed request for
+    // a held message with `src >= n` used to index past the peer table and
+    // kill the driver thread. The test plays member 1 of a two-member group
+    // on a raw socket and stays silent, so member 0's own message is never
+    // stable and stays in its history; K is out of reach so it never leaves.
+    let sock0 = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let peer = UdpSocket::bind("127.0.0.1:0").unwrap();
+    peer.set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let addrs = vec![sock0.local_addr().unwrap(), peer.local_addr().unwrap()];
+    let (mut handle, shutdown) = spawn_member_on(
+        sock0,
+        ProcessId(0),
+        addrs.clone(),
+        ProtocolConfig::new(2).with_k(100_000),
+        NodeOptions::default().round_duration(Duration::from_millis(4)),
+    )
+    .unwrap();
+    peer.send_to(&[0xFF, 1, 0], addrs[0]).unwrap(); // hello: barrier done
+    let held = handle.submit(Bytes::from_static(b"held"), vec![]).unwrap();
+    assert_eq!(drain_until(&mut handle, 1, 20), vec![held]);
+
+    // The request, as member `src` would put it on the wire.
+    let request_from = |src: u16| {
+        let rq = Pdu::RecoveryRq(RecoveryRq {
+            requester: ProcessId(1),
+            origin: ProcessId(0),
+            after_seq: 0,
+            upto_seq: 1,
+        });
+        let frame = encode_group(GroupId(0), &encode_pdu(&rq));
+        for gram in Fragmenter::new(ProcessId(src), 1400).split(&frame) {
+            peer.send_to(&gram, addrs[0]).unwrap();
+        }
+    };
+    // Recovery replies member 0 sends the peer within `window`.
+    let replies = |window: Duration| -> usize {
+        let until = Instant::now() + window;
+        let mut reasm = Reassembler::new(Duration::from_secs(2));
+        let mut buf = [0u8; 2048];
+        let mut got = 0;
+        while Instant::now() < until {
+            let Ok((len, _)) = peer.recv_from(&mut buf) else {
+                continue;
+            };
+            let gram = Bytes::copy_from_slice(&buf[..len]);
+            if let Some((_, frame)) = reasm.accept(gram, Duration::ZERO) {
+                let inner = decode_group(&frame).expect("group envelope").inner;
+                got += usize::from(frame_kind(&inner) == Some(PduKind::RecoveryReply));
+            }
+        }
+        got
+    };
+
+    let before = handle.net_stats().malformed;
+    request_from(2);
+    assert_eq!(
+        replies(Duration::from_millis(300)),
+        0,
+        "a stray was answered"
+    );
+    assert_eq!(handle.net_stats().malformed, before + 1);
+    assert!(handle.status().unwrap().is_active(), "the driver died");
+    // The same request from a member is served: it was well formed and the
+    // message is held, so only the sender id made the difference.
+    request_from(1);
+    assert_eq!(replies(Duration::from_millis(300)), 1);
+    assert_eq!(handle.net_stats().malformed, before + 1);
     drop(handle);
     shutdown.shutdown();
 }

@@ -454,6 +454,25 @@ impl<N: Node> SimNet<N> {
         }
     }
 
+    /// Steps until `done` has held for `settle` consecutive rounds — the
+    /// drain that lets in-flight frames and the decision subruns trailing
+    /// the last data message settle — or `max_rounds` rounds have run.
+    /// Returns the rounds executed by this call.
+    pub fn run_until_settled(
+        &mut self,
+        max_rounds: u64,
+        settle: u64,
+        done: impl Fn(&Self) -> bool,
+    ) -> u64 {
+        let (mut rounds, mut streak) = (0u64, 0u64);
+        while rounds < max_rounds && streak < settle {
+            self.step();
+            rounds += 1;
+            streak = if done(self) { streak + 1 } else { 0 };
+        }
+        rounds
+    }
+
     /// Runs exactly `rounds` more rounds (without the done check).
     pub fn run_rounds(&mut self, rounds: u64) {
         for _ in 0..rounds {
@@ -648,6 +667,37 @@ mod tests {
         );
         assert_eq!(net.run(), RunOutcome::RoundLimit);
         assert_eq!(net.round(), Round(5));
+    }
+
+    #[test]
+    fn run_until_settled_needs_consecutive_done_rounds() {
+        /// Done in rounds 2–3 (a streak of two that breaks) and from 6 on.
+        struct Flicker(bool);
+        impl Node for Flicker {
+            fn on_round(&mut self, round: Round, _net: &mut NetCtx<'_>) {
+                self.0 = matches!(round.0, 2 | 3) || round.0 >= 6;
+            }
+            fn on_frame(&mut self, _f: ProcessId, _x: Bytes, _n: &mut NetCtx<'_>) {}
+            fn is_done(&self) -> bool {
+                self.0
+            }
+        }
+        let net = || {
+            SimNet::new(
+                vec![Flicker(false)],
+                FaultPlan::none(),
+                SimOptions::default(),
+            )
+        };
+        // Rounds 6, 7, 8 are the first three done rounds in a row.
+        assert_eq!(net().run_until_settled(100, 3, SimNet::all_done), 9);
+        assert_eq!(net().run_until_settled(100, 2, SimNet::all_done), 4);
+        // The budget wins when the streak never completes.
+        let mut cut = net();
+        assert_eq!(cut.run_until_settled(7, 3, SimNet::all_done), 7);
+        assert_eq!(cut.round(), Round(7));
+        // The predicate is the caller's: a stricter one keeps stepping.
+        assert_eq!(net().run_until_settled(20, 1, |n| n.round().0 > 12), 13);
     }
 
     #[test]

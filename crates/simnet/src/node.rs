@@ -92,19 +92,6 @@ impl<'a> NetCtx<'a> {
         });
     }
 
-    /// Queues a unicast clone of a frame whose encoding was already
-    /// counted — manual fan-outs use this for every copy after the first so
-    /// the encoded-vs-shared gauge stays honest.
-    pub fn send_shared(&mut self, to: ProcessId, kind: &'static str, frame: Bytes) {
-        self.shared_bytes += frame.len() as u64;
-        self.out.push(Outgoing {
-            to,
-            kind,
-            frame,
-            relayed: false,
-        });
-    }
-
     /// Queues an overlay *forward*: a frame received from another process,
     /// re-sent unchanged (the caller clones the arrived [`Bytes`] handle —
     /// no new encoding happens). Counted in the relayed gauge and in this
@@ -120,28 +107,39 @@ impl<'a> NetCtx<'a> {
         });
     }
 
-    /// Queues the same frame to every *other* group member (n−1 unicasts —
-    /// the `n`-unicast semantics of the paper's transport service with no
-    /// required replies). The frame's bytes are counted encoded once; every
-    /// further destination is a refcount-shared copy.
-    pub fn broadcast(&mut self, kind: &'static str, frame: Bytes) {
-        let mut copies = 0u64;
-        for i in 0..self.n {
-            let to = ProcessId::from_index(i);
-            if to != self.me {
-                copies += 1;
-                self.out.push(Outgoing {
-                    to,
-                    kind,
-                    frame: frame.clone(),
-                    relayed: false,
-                });
-            }
-        }
+    /// Queues the same frame to each of `targets`: the first copy is counted
+    /// as freshly encoded, every further one as a refcount-shared clone —
+    /// the one fan-out loop behind overlay broadcasts, the client-server
+    /// core and [`NetCtx::broadcast`]. An empty target list sends nothing.
+    pub fn multicast(
+        &mut self,
+        targets: impl IntoIterator<Item = ProcessId>,
+        kind: &'static str,
+        frame: Bytes,
+    ) {
+        let before = self.out.len();
+        self.out.extend(targets.into_iter().map(|to| Outgoing {
+            to,
+            kind,
+            frame: frame.clone(),
+            relayed: false,
+        }));
+        let copies = (self.out.len() - before) as u64;
         if copies > 0 {
             self.encoded_bytes += frame.len() as u64;
             self.shared_bytes += frame.len() as u64 * (copies - 1);
         }
+    }
+
+    /// Queues the same frame to every *other* group member (n−1 unicasts —
+    /// the `n`-unicast semantics of the paper's transport service with no
+    /// required replies), with [`NetCtx::multicast`]'s byte accounting.
+    pub fn broadcast(&mut self, kind: &'static str, frame: Bytes) {
+        let me = self.me;
+        let others = (0..self.n)
+            .map(ProcessId::from_index)
+            .filter(|&to| to != me);
+        self.multicast(others, kind, frame);
     }
 
     /// Number of frames queued so far this round (for tests).
@@ -180,6 +178,36 @@ mod tests {
         assert_eq!(ctx.queued(), 3);
         let dests: Vec<u16> = out.iter().map(|o| o.to.0).collect();
         assert_eq!(dests, vec![0, 2, 3]);
+    }
+
+    #[test]
+    fn multicast_counts_first_copy_encoded_and_the_rest_shared() {
+        let mut out = Vec::new();
+        let mut ctx = NetCtx::new(ProcessId(0), 5, Round(0), &mut out);
+        ctx.multicast([], "data", Bytes::from_static(b"12345678"));
+        assert_eq!(ctx.queued(), 0, "empty target list sends nothing");
+        assert_eq!(ctx.share_gauge(), (0, 0, 0));
+        ctx.multicast(
+            [ProcessId(3), ProcessId(1), ProcessId(4)],
+            "data",
+            Bytes::from_static(b"12345678"),
+        );
+        assert_eq!(ctx.share_gauge(), (8, 16, 0));
+        // A single target is all encoded, nothing shared.
+        ctx.multicast([ProcessId(2)], "ctl", Bytes::from_static(b"123"));
+        assert_eq!(ctx.share_gauge(), (11, 16, 0));
+        let queued: Vec<(u16, &str, bool)> =
+            out.iter().map(|o| (o.to.0, o.kind, o.relayed)).collect();
+        assert_eq!(
+            queued,
+            vec![
+                (3, "data", false),
+                (1, "data", false),
+                (4, "data", false),
+                (2, "ctl", false)
+            ],
+            "targets keep their order"
+        );
     }
 
     #[test]

@@ -112,11 +112,18 @@ pub fn decode_relay(frame: &Bytes) -> Result<RelayFrame, RelayError> {
 ///
 /// Memory stays bounded without any protocol help: sequences from one
 /// origin are near-contiguous, so each origin keeps a contiguous floor
-/// plus a small out-of-order residue that compacts back into the floor.
+/// plus an out-of-order residue that compacts back into the floor — and
+/// that is capped at [`RELAY_RESIDUE_MAX`], so one permanently lost
+/// envelope cannot pin the floor for the rest of the run.
 #[derive(Clone, Debug, Default)]
 pub struct RelaySeen {
     origins: Vec<SeenWindow>,
 }
+
+/// Most out-of-order seqs [`RelaySeen`] holds per origin. Past it the floor
+/// skips the oldest gap: a late copy of a skipped seq then reads as a
+/// duplicate — an omission, which the engine's recovery already covers.
+pub const RELAY_RESIDUE_MAX: usize = 1024;
 
 #[derive(Clone, Debug, Default)]
 struct SeenWindow {
@@ -142,8 +149,11 @@ impl RelaySeen {
         if seq < w.floor || !w.above.insert(seq) {
             return false;
         }
+        if w.above.len() > RELAY_RESIDUE_MAX {
+            w.floor = *w.above.first().expect("residue is non-empty");
+        }
         while w.above.remove(&w.floor) {
-            w.floor += 1;
+            w.floor = w.floor.saturating_add(1);
         }
         true
     }
@@ -153,6 +163,11 @@ impl RelaySeen {
         self.origins
             .get(origin.index())
             .is_some_and(|w| seq < w.floor || w.above.contains(&seq))
+    }
+
+    /// Origins the table has grown to cover (tests/gauges).
+    pub fn tracked_origins(&self) -> usize {
+        self.origins.len()
     }
 
     /// Out-of-order residue currently held for `origin` (tests/gauges).
@@ -234,5 +249,26 @@ mod tests {
         // Other origins are independent.
         assert!(seen.insert(ProcessId(5), 0));
         assert!(!seen.contains(ProcessId(4), 0));
+    }
+
+    #[test]
+    fn residue_is_bounded_when_a_seq_never_arrives() {
+        let mut seen = RelaySeen::new();
+        let p = ProcessId(1);
+        assert!(seen.insert(p, 0));
+        // Seq 1 is lost for good; 10^5 later ones keep arriving.
+        for seq in 2..100_002u64 {
+            assert!(seen.insert(p, seq), "seq {seq} is fresh");
+            assert!(seen.residue(p) <= RELAY_RESIDUE_MAX);
+            assert!(!seen.insert(p, seq), "and a duplicate right after");
+        }
+        // The floor skipped the gap: the late copy is a duplicate now.
+        assert!(seen.contains(p, 1) && !seen.insert(p, 1));
+        // A short reordering above the new floor still closes.
+        assert_eq!(seen.residue(p), 0, "contiguous arrivals compacted");
+        assert!(seen.insert(p, 100_003));
+        assert_eq!(seen.residue(p), 1);
+        assert!(seen.insert(p, 100_002));
+        assert_eq!(seen.residue(p), 0);
     }
 }
