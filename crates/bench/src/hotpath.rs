@@ -318,7 +318,7 @@ pub fn recovery_storm(n: usize, per_origin: u64, batched: bool) -> StormOutcome 
     }
     while holder.poll_output().is_some() {}
 
-    // The lagger learns (via a decision) how far behind it is.
+    // The lagger learns (via a decision) how far behind it is, and asks.
     let lagger_id = ProcessId(n as u16 - 1);
     let mut lagger = urcgc::Engine::new(lagger_id, cfg);
     let mut d = Decision::genesis(n);
@@ -330,7 +330,6 @@ pub fn recovery_storm(n: usize, per_origin: u64, batched: bool) -> StormOutcome 
         };
     }
     lagger.on_pdu(ProcessId(0), Pdu::decision(d));
-    lagger.begin_round(Round(3)); // decision round → attempt_recovery
 
     let mut outcome = StormOutcome {
         frames: 0,

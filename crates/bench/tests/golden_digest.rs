@@ -10,10 +10,11 @@
 //!
 //! If a digest mismatch is *intended* (a deliberate protocol or experiment
 //! change), regenerate with the command printed in the failure message and
-//! update the constant alongside a changelog note. Last re-pin: the
-//! batching defaults flip (`batched_recovery` + `batch_retransmissions`
-//! on by default) changed recovery frame populations under crash plans;
-//! EXPERIMENTS.md records the before/after digests.
+//! update the constant alongside a changelog note. Last re-pin: a gap is
+//! asked for when the decision that shows it is adopted, not at the next
+//! decision round (PR 16), which moves every recovery one round earlier;
+//! the slot change of the same PR moved neither digest. EXPERIMENTS.md
+//! records the before/after digests of this and the earlier re-pins.
 
 use std::process::Command;
 
@@ -56,7 +57,7 @@ fn run_and_digest(bin: &str, exe: &str) -> u64 {
 fn fig4_delay_document_is_bit_stable() {
     let digest = run_and_digest("fig4_delay", env!("CARGO_BIN_EXE_fig4_delay"));
     assert_eq!(
-        digest, 0xcff8_1a49_53c8_1ed1,
+        digest, 0x8e1f_e0bd_42bd_d4c5,
         "fig4_delay smoke document drifted; if intended, regenerate with \
          `fig4_delay --max-rounds 60 --replicates 2 --jobs 2 --json out.json` \
          and pin the new digest ({digest:#x})"
@@ -67,7 +68,7 @@ fn fig4_delay_document_is_bit_stable() {
 fn ablation_h_document_is_bit_stable() {
     let digest = run_and_digest("ablation_h", env!("CARGO_BIN_EXE_ablation_h"));
     assert_eq!(
-        digest, 0x9cf9_cfdb_8208_4be6,
+        digest, 0xf8cf_ba6a_1ce2_7ad7,
         "ablation_h smoke document drifted; if intended, regenerate with \
          `ablation_h --max-rounds 60 --replicates 2 --jobs 2 --json out.json` \
          and pin the new digest ({digest:#x})"

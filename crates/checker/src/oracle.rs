@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use urcgc::sim::{GroupHarness, GroupReport, UrcgcNode};
+use urcgc_simnet::SimNet;
 use urcgc_types::ProcessId;
 
 /// Which property a violation breaches.
@@ -112,16 +113,16 @@ impl Violation {
 /// alive in `i`'s view, `i` must not have purged origin `q`'s history past
 /// `j`'s processed frontier for any `q`. Call once per round (O(n³), n is
 /// small).
-pub fn check_stability(h: &GroupHarness, round: u64) -> Option<Violation> {
-    let nodes = h.net().nodes();
+pub fn check_stability(net: &SimNet<UrcgcNode>, round: u64) -> Option<Violation> {
+    let nodes = net.nodes();
     for holder in nodes {
         let hid = holder.engine().me();
-        if h.net().is_crashed(hid) || !holder.engine().status().is_active() {
+        if net.is_crashed(hid) || !holder.engine().status().is_active() {
             continue;
         }
         for peer in nodes {
             let pid = peer.engine().me();
-            if h.net().is_crashed(pid)
+            if net.is_crashed(pid)
                 || !peer.engine().status().is_active()
                 || !holder.engine().view().is_alive(pid)
             {

@@ -1,7 +1,7 @@
 //! Executes one [`CheckSpec`] and returns every oracle violation it
 //! provokes.
 
-use urcgc::sim::{GroupHarness, Workload};
+use urcgc::sim::{GroupHarness, GroupReport, Workload};
 
 use crate::oracle::{self, Violation};
 use crate::sched::ScheduleAdversary;
@@ -31,8 +31,31 @@ impl RunResult {
     }
 }
 
-/// Runs `spec` to quiescence (or its round budget), checking the mid-run
-/// stability oracle every round and the terminal oracles at the end.
+/// Runs `h` until it settles (or `max_rounds`), checking the mid-run
+/// stability oracle every round and the ordering and terminal oracles at
+/// the end. Rounds up to `settle_after` never count as quiet: a scheduled
+/// fault that is still in force can hide a gap from the very process that
+/// has it, and quiescence declared then condemns a run the protocol goes
+/// on to heal.
+pub fn run_checked(
+    h: &mut GroupHarness,
+    max_rounds: u64,
+    settle_after: u64,
+) -> (Vec<Violation>, GroupReport) {
+    let mut violations = Vec::new();
+    let report = h.run_until(max_rounds, |net| {
+        let round = net.round().0;
+        if violations.is_empty() {
+            violations.extend(oracle::check_stability(net, round));
+        }
+        round > settle_after && net.all_done()
+    });
+    violations.extend(oracle::check_ordering(h.net().nodes()));
+    violations.extend(oracle::check_final(&report));
+    (violations, report)
+}
+
+/// Runs `spec` to quiescence (or its round budget) under every oracle.
 pub fn run_spec(spec: &CheckSpec) -> RunResult {
     let max_rounds = spec.max_rounds();
     let mut builder = GroupHarness::builder(spec.config())
@@ -46,41 +69,13 @@ pub fn run_spec(spec: &CheckSpec) -> RunResult {
     }
     let mut h = builder.build();
 
-    let mut violations = Vec::new();
-    let mut rounds = 0u64;
-    let mut streak = 0u64;
-    while rounds < max_rounds {
-        h.step();
-        rounds += 1;
-        if violations.is_empty() {
-            if let Some(v) = oracle::check_stability(&h, rounds) {
-                violations.push(v);
-            }
-        }
-        if h.net().all_done() {
-            streak += 1;
-            // Same drain as GroupHarness::run_to_completion: two more
-            // decision subruns settle stability and gap detection.
-            if streak >= 8 {
-                break;
-            }
-        } else {
-            streak = 0;
-        }
-    }
-    let report = h.report(rounds);
-    if let Some(v) = oracle::check_ordering(h.net().nodes()) {
-        violations.push(v);
-    }
+    let (mut violations, report) = run_checked(&mut h, max_rounds, spec.plan.spent_by());
     if spec.is_loss_free() {
-        if let Some(v) = oracle::check_membership(&h) {
-            violations.push(v);
-        }
+        violations.extend(oracle::check_membership(&h));
     }
-    violations.extend(oracle::check_final(&report));
     RunResult {
         violations,
-        rounds,
+        rounds: report.rounds,
         quiesced: report.quiesced,
         generated: report.generated_total,
     }

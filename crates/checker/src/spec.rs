@@ -103,6 +103,21 @@ impl PlanSpec {
         plan
     }
 
+    /// The round by which every *scheduled* loss of this genome is over
+    /// and the last frame it held back has landed: the end of the latest
+    /// cut or handoff cut, plus the slow sender's extra latency. (Random
+    /// omissions and schedule drops have no schedule; the protocol's own
+    /// retries cover them.)
+    pub fn spent_by(&self) -> u64 {
+        let cuts = self.cuts.iter().map(|&(_, _, _, to_round)| to_round);
+        let handoffs = self
+            .handoff_cuts
+            .iter()
+            .map(|&(s, _)| Subrun(s).decision_round().0 + 1);
+        let slow = self.slow_sender.map_or(0, |(_, extra)| extra);
+        cuts.chain(handoffs).max().map_or(0, |end| end + slow + 1)
+    }
+
     /// Number of distinct processes this genome crashes.
     pub fn crashed_processes(&self, n: usize) -> usize {
         self.to_fault_plan(n).crash_count()

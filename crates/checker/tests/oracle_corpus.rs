@@ -8,13 +8,13 @@
 
 use urcgc::sim::{GroupHarness, Workload};
 use urcgc_bench::soak::{baseline_soak_faults, soak_faults};
-use urcgc_check::oracle::{self, Violation};
+use urcgc_check::oracle::Violation;
 use urcgc_simnet::FaultPlan;
 use urcgc_types::{ProcessId, ProtocolConfig, Round, Subrun};
 
-/// Runs one (config, plan) scenario to quiescence exactly like the
-/// checker does — per-round stability oracle, terminal oracles at the
-/// end — and returns everything that fired.
+/// Runs one (config, plan) scenario to quiescence through the checker's
+/// own loop — per-round stability oracle, terminal oracles at the end —
+/// and returns everything that fired.
 fn oracle_violations(
     cfg: ProtocolConfig,
     faults: FaultPlan,
@@ -28,32 +28,7 @@ fn oracle_violations(
         .seed(seed)
         .max_rounds(max_rounds)
         .build();
-    let mut violations = Vec::new();
-    let mut rounds = 0u64;
-    let mut streak = 0u64;
-    while rounds < max_rounds {
-        h.step();
-        rounds += 1;
-        if violations.is_empty() {
-            if let Some(v) = oracle::check_stability(&h, rounds) {
-                violations.push(v);
-            }
-        }
-        if h.net().all_done() {
-            streak += 1;
-            if streak >= 8 {
-                break;
-            }
-        } else {
-            streak = 0;
-        }
-    }
-    let report = h.report(rounds);
-    if let Some(v) = oracle::check_ordering(h.net().nodes()) {
-        violations.push(v);
-    }
-    violations.extend(oracle::check_final(&report));
-    violations
+    urcgc_check::run::run_checked(&mut h, max_rounds, 0).0
 }
 
 fn assert_clean(name: &str, violations: Vec<Violation>) {

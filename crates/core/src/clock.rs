@@ -133,7 +133,9 @@ impl RoundPacer {
     }
 
     /// Returns the next due round, or `None` if no round is due at `now`.
-    /// Call in a loop to burst through owed rounds after a stall.
+    /// Call in a loop: after a stall of any length every owed round is
+    /// handed out, back to back, before the cadence resumes — the burst is
+    /// not bounded and the cadence is not re-anchored.
     pub fn poll(&mut self, now: Duration) -> Option<Round> {
         if now < self.due {
             return None;
@@ -141,12 +143,6 @@ impl RoundPacer {
         let round = Round(self.next);
         self.next += 1;
         self.due += self.period;
-        // After a long stall, re-anchor instead of emitting an unbounded
-        // burst: owe at most the rounds that fit in the stall, then resume
-        // the cadence from the current instant.
-        if self.due + self.period < now {
-            return Some(round); // caller keeps polling; next is due already
-        }
         Some(round)
     }
 

@@ -72,8 +72,17 @@ pub struct Engine {
     outbox: VecDeque<Output>,
     current_round: Round,
     missed_decisions: u32,
+    /// Consecutive subruns in which a known gap was asked for and nothing
+    /// at all was processed since (any processing zeroes it).
     recovery_attempts: u32,
-    processed_at_last_recovery: u64,
+    /// Whether the current round's one broadcast is still unspent: set by
+    /// a `begin_round` that found no backlog, cleared by the `submit` that
+    /// takes it. False until the first round has begun.
+    slot_free: bool,
+    /// Whether a recovery ask went out since the last request round —
+    /// which is also whether this subrun's one attempt has been charged
+    /// against `R`.
+    asked_this_subrun: bool,
     stats: EngineStats,
 }
 
@@ -113,7 +122,8 @@ impl Engine {
             current_round: Round(0),
             missed_decisions: 0,
             recovery_attempts: 0,
-            processed_at_last_recovery: 0,
+            slot_free: false,
+            asked_this_subrun: false,
             stats: EngineStats::default(),
             cfg,
         }
@@ -246,11 +256,19 @@ impl Engine {
     // Inputs
     // ------------------------------------------------------------------
 
-    /// `urcgc.data.Rq`: queues an application message. `chosen_deps` names
+    /// `urcgc.data.Rq`: accepts an application message. `chosen_deps` names
     /// the messages this one causally depends on (interpreted per the
     /// configured [`CausalityMode`](urcgc_types::CausalityMode)). Returns
     /// the assigned mid; a [`Output::Confirm`] follows once the message is
     /// broadcast and locally processed.
+    ///
+    /// The paper's service rate is one message a round, not one message a
+    /// round *boundary*: when the current round's slot is still free — a
+    /// round has begun, it found no backlog, no earlier submission took it
+    /// — and flow control allows, the message is broadcast before this
+    /// call returns (drain the outbox afterwards). Otherwise it queues and
+    /// [`begin_round`](Engine::begin_round) sends it, one a round, in
+    /// submission order.
     pub fn submit(&mut self, payload: Bytes, chosen_deps: &[Mid]) -> Result<Mid, SubmitError> {
         if !self.status.is_active() {
             return Err(SubmitError::NotActive(self.status));
@@ -260,11 +278,24 @@ impl Engine {
             .label(chosen_deps)
             .map_err(|e| SubmitError::BadLabel(e.to_string()))?;
         self.pending.push_back((mid, deps, payload));
+        // A free slot implies an empty backlog, so order is kept. A slot
+        // that flow control refuses is spent all the same: the message
+        // waits for the tick, which is where a blocked round is counted.
+        if std::mem::take(&mut self.slot_free) && self.flow.may_generate(self.history.len()) {
+            self.stats.immediate_submits += 1;
+            self.broadcast_next_pending();
+        }
         Ok(mid)
     }
 
     /// Advances the entity to `round` and performs its round actions.
     /// Drivers must call this once per round, monotonically.
+    ///
+    /// The tick is the fallback of the data path, not its trigger: it
+    /// sends one backlog entry (or leaves the round's slot to the next
+    /// [`submit`](Engine::submit)), and at a request round re-asks for a
+    /// known gap only if nothing was asked since the previous one. A gap
+    /// is first asked for when the decision that shows it is adopted.
     pub fn begin_round(&mut self, round: Round) {
         if !self.status.is_active() {
             return;
@@ -277,12 +308,18 @@ impl Engine {
             if !self.status.is_active() {
                 return;
             }
-            self.maybe_broadcast_pending(round);
+            self.maybe_broadcast_pending();
             self.send_request(subrun);
+            // Lost decision + lost reply: nothing was asked since the last
+            // request round, so nothing is on its way. The retry is the
+            // ended subrun's attempt; the new subrun starts unasked.
+            if !self.asked_this_subrun {
+                self.attempt_recovery(true);
+            }
+            self.asked_this_subrun = false;
         } else {
-            self.maybe_broadcast_pending(round);
+            self.maybe_broadcast_pending();
             self.coordinator_decide(subrun);
-            self.attempt_recovery();
         }
         #[cfg(debug_assertions)]
         self.debug_validate();
@@ -450,21 +487,29 @@ impl Engine {
         }
     }
 
-    /// Broadcasts at most one pending submission (the paper's one message a
-    /// round), subject to flow control.
-    fn maybe_broadcast_pending(&mut self, round: Round) {
-        if self.pending.is_empty() {
+    /// The tick's half of the one-message-a-round rule: sends the oldest
+    /// backlog entry, subject to flow control, or — with no backlog —
+    /// leaves the round's slot free for [`Engine::submit`].
+    fn maybe_broadcast_pending(&mut self) {
+        self.slot_free = self.pending.is_empty();
+        if self.slot_free {
             return;
         }
         if !self.flow.may_generate(self.history.len()) {
             self.stats.flow_blocked_rounds += 1;
             return;
         }
-        let (mid, deps, payload) = self.pending.pop_front().expect("checked non-empty");
+        self.broadcast_next_pending();
+    }
+
+    /// Broadcasts and processes the oldest pending submission, stamped
+    /// with the round whose slot it takes.
+    fn broadcast_next_pending(&mut self) {
+        let (mid, deps, payload) = self.pending.pop_front().expect("caller checked non-empty");
         let msg = Arc::new(DataMsg {
             mid,
             deps,
-            round,
+            round: self.current_round,
             payload,
         });
         // One allocation serves the broadcast, the history table and the
@@ -609,6 +654,7 @@ impl Engine {
         self.labeler.note_processed(msg.mid);
         self.history.save(Arc::clone(&msg));
         self.stats.processed += 1;
+        self.recovery_attempts = 0; // progress: earlier asks were not fruitless
         self.outbox.push_back(Output::Deliver { msg });
     }
 
@@ -779,6 +825,9 @@ impl Engine {
             }
         }
         self.last_decision = Arc::clone(d);
+        // The gap this decision shows is asked for now, not at a fixed
+        // phase of the next subrun.
+        self.attempt_recovery(false);
         true
     }
 
@@ -847,21 +896,22 @@ impl Engine {
         }
     }
 
-    /// Once per subrun (decision round): if the latest decision shows some
-    /// process has processed further than we have on any sequence
-    /// (`max_processed[q] > last_processed[q]` — how Lemma 4.1 says a
-    /// process "learns the omission"), ask that most-updated process for
-    /// the gap. This covers both parked messages waiting on missing causes
-    /// *and* tail losses where nothing later arrived to park. Counts
-    /// consecutive attempts without processing progress; `R` of them and
-    /// the entity leaves the group.
-    fn attempt_recovery(&mut self) {
-        let processed = self.tracker.processed_count();
-        if processed > self.processed_at_last_recovery {
-            self.recovery_attempts = 0;
-        }
-        self.processed_at_last_recovery = processed;
-
+    /// If the latest decision shows some process has processed further
+    /// than we have on any sequence (`max_processed[q] > last_processed[q]`
+    /// — how Lemma 4.1 says a process "learns the omission"), asks that
+    /// most-updated process for the gap. This covers both parked messages
+    /// waiting on missing causes *and* tail losses where nothing later
+    /// arrived to park. Called when a decision is adopted (the moment the
+    /// gap becomes known) and, as `retry`, from a request round that no
+    /// ask preceded since the last one.
+    ///
+    /// One attempt against `R` is one subrun of the local clock in which
+    /// a known gap was asked for, however many adoptions asked in it:
+    /// decisions queued behind a stall arrive in one burst, and must not
+    /// burn a budget the paper sizes in subruns (`R > 2K + f`). `R`
+    /// consecutive attempts without processing progress and the entity
+    /// leaves the group.
+    fn attempt_recovery(&mut self, retry: bool) {
         let mut sent_any = false;
         // Batched framing groups the per-origin asks by holder: one
         // RecoveryBatchRq per distinct most-updated peer instead of one
@@ -876,6 +926,7 @@ impl Engine {
                 continue;
             }
             self.stats.recovery_requests += 1;
+            self.stats.recovery_retries += u32::from(retry);
             sent_any = true;
             if self.cfg.batched_recovery {
                 let want = RecoveryWant {
@@ -908,13 +959,13 @@ impl Engine {
                 })),
             });
         }
-        if sent_any {
+        if !sent_any {
+            self.recovery_attempts = 0;
+        } else if !std::mem::replace(&mut self.asked_this_subrun, true) {
             self.recovery_attempts += 1;
             if self.recovery_attempts > self.cfg.r {
                 self.transition(ProcessStatus::Left, StatusReason::RecoveryExhausted);
             }
-        } else {
-            self.recovery_attempts = 0;
         }
     }
 
@@ -1207,8 +1258,7 @@ mod tests {
             seq: 2,
         };
         e.on_pdu(ProcessId(0), Pdu::decision(d));
-        // Decision round triggers the recovery ask.
-        e.begin_round(Round(3));
+        // Adopting the decision is what asks: no round has to begin.
         let mut asked = None;
         while let Some(o) = e.poll_output() {
             if let Output::Send { to, pdu } = o {
@@ -1336,7 +1386,6 @@ mod tests {
             seq: 1,
         };
         lagger.on_pdu(ProcessId(0), Pdu::decision(d));
-        lagger.begin_round(Round(3));
         let mut batch_rqs = Vec::new();
         while let Some(o) = lagger.poll_output() {
             if let Output::Send { to, pdu } = o {
@@ -1385,7 +1434,6 @@ mod tests {
             seq: 1,
         };
         e.on_pdu(ProcessId(0), Pdu::decision(d));
-        e.begin_round(Round(3));
         let mut rqs = 0;
         while let Some(o) = e.poll_output() {
             if let Output::Send { pdu, .. } = o {
@@ -1461,6 +1509,125 @@ mod tests {
             }
         }
         assert!(left, "entity must leave after R attempts");
+    }
+
+    /// A decision for `subrun` that names p1 as holding p0#2.
+    fn gap_decision(subrun: u64) -> Pdu {
+        let mut d = Decision::genesis(N);
+        d.subrun = Subrun(subrun);
+        d.max_processed[0] = MaxProcessed {
+            holder: ProcessId(1),
+            seq: 2,
+        };
+        Pdu::decision(d)
+    }
+
+    /// Drains the outbox, counting data broadcasts and recovery asks.
+    fn drain_counts(e: &mut Engine) -> (usize, usize) {
+        let (mut data, mut asks) = (0, 0);
+        while let Some(o) = e.poll_output() {
+            match o {
+                Output::Broadcast { pdu } if matches!(*pdu, Pdu::Data(_)) => data += 1,
+                Output::Send { pdu, .. }
+                    if matches!(*pdu, Pdu::RecoveryRq(_) | Pdu::RecoveryBatchRq(_)) =>
+                {
+                    asks += 1
+                }
+                _ => {}
+            }
+        }
+        (data, asks)
+    }
+
+    #[test]
+    fn a_round_has_one_slot_and_the_first_submission_takes_it() {
+        let mut e = Engine::new(ProcessId(0), cfg());
+        // Before any round has begun nothing may leave: the UDP runtime
+        // accepts submissions inside its startup barrier.
+        e.submit(Bytes::from_static(b"a"), &[]).unwrap();
+        assert_eq!(drain_counts(&mut e).0, 0);
+        e.begin_round(Round(0));
+        assert_eq!(drain_counts(&mut e).0, 1, "the backlog leaves at the tick");
+        // Round 0's slot went to the backlog.
+        e.submit(Bytes::from_static(b"b"), &[]).unwrap();
+        assert_eq!(drain_counts(&mut e).0, 0);
+        e.begin_round(Round(1));
+        assert_eq!(drain_counts(&mut e).0, 1);
+        // Round 2 begins with nothing to send: its slot is free, once.
+        e.begin_round(Round(2));
+        assert_eq!(drain_counts(&mut e).0, 0);
+        let c = e.submit(Bytes::from_static(b"c"), &[]).unwrap();
+        assert!(e.has_processed(c), "sent and processed inside submit");
+        assert_eq!(drain_counts(&mut e).0, 1);
+        e.submit(Bytes::from_static(b"d"), &[]).unwrap();
+        assert_eq!(drain_counts(&mut e).0, 0, "second submission queues");
+        assert_eq!(e.gauges().pending_len, 1);
+        e.begin_round(Round(3));
+        assert_eq!(drain_counts(&mut e).0, 1);
+        assert_eq!(e.stats().immediate_submits, 1);
+    }
+
+    #[test]
+    fn a_flow_blocked_submission_queues_and_the_round_counts_once() {
+        let cfg = ProtocolConfig::new(N).with_history_threshold(1);
+        let mut e = Engine::new(ProcessId(0), cfg);
+        e.begin_round(Round(0));
+        e.submit(Bytes::from_static(b"a"), &[]).unwrap();
+        assert_eq!(drain_counts(&mut e).0, 1, "history empty: slot taken");
+        e.begin_round(Round(1));
+        // History holds 1 >= threshold: both submissions queue, and a round
+        // is only counted as blocked when its tick finds the backlog stuck.
+        e.submit(Bytes::from_static(b"b"), &[]).unwrap();
+        e.submit(Bytes::from_static(b"c"), &[]).unwrap();
+        assert_eq!(drain_counts(&mut e).0, 0);
+        assert_eq!(e.gauges().pending_len, 2);
+        assert_eq!(e.stats().flow_blocked_rounds, 0);
+        e.begin_round(Round(2));
+        assert_eq!(drain_counts(&mut e).0, 0);
+        assert_eq!(e.stats().flow_blocked_rounds, 1);
+    }
+
+    #[test]
+    fn decisions_adopted_inside_one_round_charge_one_attempt() {
+        let mut e = Engine::new(ProcessId(2), cfg());
+        e.begin_round(Round(2));
+        drain_counts(&mut e);
+        // A stalled driver hands over eight queued decisions at once.
+        for s in 1..=8 {
+            e.on_pdu(ProcessId(1), gap_decision(s));
+        }
+        assert_eq!(drain_counts(&mut e).1, 8, "every adoption asks");
+        assert_eq!(e.snapshot().recovery_attempts, 1);
+        assert_eq!(e.stats().recovery_retries, 0);
+    }
+
+    #[test]
+    fn a_known_gap_is_asked_for_once_per_subrun_with_or_without_a_decision() {
+        // Nobody ever answers p2. Of every three subruns it adopts a
+        // peer's decision in one, its own (as coordinator) in the next and
+        // none in the third, where the request round's retry stands in.
+        let mut e = Engine::new(ProcessId(2), cfg());
+        let r = e.config().r;
+        e.begin_round(Subrun(1).request_round());
+        drain_counts(&mut e);
+        for s in 1..40u32 {
+            if s % 3 == 1 {
+                e.on_pdu(ProcessId(1), gap_decision(s.into()));
+            }
+            e.begin_round(Subrun(s.into()).decision_round());
+            let adopted = drain_counts(&mut e).1;
+            assert_eq!(adopted, usize::from(s % 3 != 0), "subrun {s}");
+            e.begin_round(Subrun(u64::from(s) + 1).request_round());
+            if !e.status().is_active() {
+                assert_eq!(e.status_reason(), Some(StatusReason::RecoveryExhausted));
+                assert_eq!(s, r + 1, "one attempt a subrun, R + 1 of them");
+                assert_eq!(e.stats().recovery_retries, (r + 1) / 3);
+                return;
+            }
+            assert_eq!(adopted + drain_counts(&mut e).1, 1, "subrun {s}");
+            assert_eq!(e.snapshot().recovery_attempts, s);
+        }
+        panic!("entity must leave after R attempts");
     }
 
     #[test]

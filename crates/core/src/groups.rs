@@ -422,8 +422,10 @@ impl Node for CsNode {
                             s.on_behalf.insert(mid, (from, req_id));
                             s.accepted.insert((from, req_id), None);
                         }
-                        // The broadcast happens at the next round boundary;
-                        // the reply follows the Confirm.
+                        // The broadcast leaves now if the round's slot is
+                        // free, else at the next round boundary; the reply
+                        // follows the Confirm.
+                        s.flush(net);
                     }
                 }
             }

@@ -125,14 +125,25 @@ pub struct EngineStats {
     pub waiting: usize,
     /// Current history population (gauge).
     pub history_len: usize,
-    /// Recovery requests sent.
+    /// Recovery requests sent, one per lagging origin per ask: first asks
+    /// (made when the decision that shows the gap is adopted) plus
+    /// [`recovery_retries`](EngineStats::recovery_retries).
     pub recovery_requests: u64,
+    /// The part of `recovery_requests` re-asked from a request round that
+    /// no ask preceded — a decision and a reply were both lost. A high
+    /// share means replies are not getting through. (32 bits, like
+    /// `immediate_submits`: the pair takes one word, and `Engine` — one per
+    /// hosted group — stays the size it was.)
+    pub recovery_retries: u32,
     /// Messages recovered from peers' histories.
     pub recovered: u64,
     /// Messages destroyed by orphan elimination.
     pub discarded: u64,
-    /// Rounds in which flow control suppressed generation.
+    /// Rounds that began with a backlog flow control would not let out.
     pub flow_blocked_rounds: u64,
+    /// Submissions broadcast inside `submit`, in a round whose slot was
+    /// still free, instead of waiting for the next round to begin.
+    pub immediate_submits: u32,
     /// Decisions applied.
     pub decisions_applied: u64,
     /// Decisions computed as coordinator.

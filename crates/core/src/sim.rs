@@ -586,10 +586,22 @@ impl GroupHarness {
     /// waiting backlog) — plus a short drain so in-flight frames settle —
     /// or until `max_rounds`. Returns the collected report.
     pub fn run_to_completion(&mut self, max_rounds: u64) -> GroupReport {
+        self.run_until(max_rounds, SimNet::all_done)
+    }
+
+    /// [`run_to_completion`](GroupHarness::run_to_completion) with the
+    /// caller's quiescence predicate, evaluated once after every round —
+    /// the checker runs its per-round oracle from it, and holds quiescence
+    /// off until its fault plan is spent.
+    pub fn run_until(
+        &mut self,
+        max_rounds: u64,
+        done: impl FnMut(&SimNet<UrcgcNode>) -> bool,
+    ) -> GroupReport {
         // Let in-flight frames and two more decision subruns settle
         // (stability, cleaning and gap detection lag behind the last data
         // message by up to a subrun each).
-        let rounds = self.net.run_until_settled(max_rounds, 8, SimNet::all_done);
+        let rounds = self.net.run_until_settled(max_rounds, 8, done);
         self.report(rounds)
     }
 
@@ -872,6 +884,28 @@ mod tests {
             report.statuses
         );
         assert!(report.frontiers_agree());
+    }
+
+    #[test]
+    fn one_dropped_data_frame_is_recovered_as_soon_as_a_decision_shows_it() {
+        // p0's round-0 broadcast never reaches p2. The subrun-0 decision
+        // (sent in round 1, adopted in round 2) names p0 as holding p0#1:
+        // ask in 2, served in 3, processed in 4. Asking at the next
+        // decision round instead (round 3) made this 5.
+        let faults =
+            FaultPlan::none().cut_link_during(ProcessId(0), ProcessId(2), Round(0), Round(1));
+        let mut h = GroupHarness::builder(ProtocolConfig::new(3))
+            .workload(Workload::fixed_count(1, 8))
+            .faults(faults)
+            .build();
+        let report = h.run_to_completion(200);
+        let lost = Mid::new(ProcessId(0), 1);
+        let p2 = h.net().node(ProcessId(2));
+        assert_eq!(p2.deliveries()[&lost], Round(4));
+        assert_eq!(p2.engine().stats().recovered, 1);
+        assert_eq!(p2.engine().stats().recovery_retries, 0);
+        assert!(report.all_processed_everything() && report.frontiers_agree());
+        assert_eq!(report.last_processed[2], vec![1, 1, 1]);
     }
 
     #[test]

@@ -269,9 +269,9 @@ fn run_node(args: Args) -> ExitCode {
     // Final observation. If the driver died (suicide/left), fall back to
     // what the log tells us.
     let final_state = handle.with_engine(|e| e.snapshot()).ok();
-    let (status, frontier) = match &final_state {
-        Some(snap) => (snap.status.clone(), snap.frontier.clone()),
-        None => ("Gone".to_string(), vec![0; args.n]),
+    let (status, frontier, stats) = match &final_state {
+        Some(snap) => (snap.status.clone(), snap.frontier.clone(), snap.stats),
+        None => ("Gone".to_string(), vec![0; args.n], Default::default()),
     };
     quiesced = handle
         .with_engine(move |e| workload_quiescent(e, submitted, budget))
@@ -286,6 +286,9 @@ fn run_node(args: Args) -> ExitCode {
         submitted,
         delivered: log.len() as u64,
         discarded,
+        recovery_requests: stats.recovery_requests,
+        recovery_retries: stats.recovery_retries.into(),
+        immediate_submits: stats.immediate_submits.into(),
         frontier,
         order_digest: order_digests(args.n, &mids),
         ordering_ok,

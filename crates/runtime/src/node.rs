@@ -22,8 +22,10 @@
 //!   stalls ([`RoundPacer`]).
 //! * The **driver** thread is the only one touching the [`Engine`]. It is
 //!   a plain event loop: tick → `begin_round`; datagram → reassemble →
-//!   `on_frame`; command → query/submit. All engine outputs are flushed
-//!   to the socket (fragmented to the MTU) or the application channel.
+//!   `on_frame`; command → query/submit. After each of the three, all
+//!   engine outputs are flushed to the socket (fragmented to the MTU) or
+//!   the application channel — a submission that finds its round's slot
+//!   free goes out at once, not at the next tick.
 //!
 //! The sender of a frame is identified by the fragment header's `src`
 //! field, never by the datagram's source address — so members can sit
@@ -647,8 +649,8 @@ fn forward(tx: &SyncSender<Event>, net: &NetCounters, buf: &[u8]) -> bool {
     }
 }
 
-/// Paces [`Event::Tick`]s at the round cadence, bursting to catch up after
-/// a stall (and re-anchoring after a long one — [`RoundPacer`]).
+/// Paces [`Event::Tick`]s at the round cadence, bursting through every
+/// owed round after a stall ([`RoundPacer`]).
 fn ticker_loop(period: Duration, tx: &SyncSender<Event>, stop: &AtomicBool) {
     let clock = WallClock::new();
     let mut pacer = RoundPacer::new(clock.now(), period);
@@ -779,6 +781,10 @@ fn driver_loop(
                         .submit(group, payload, &deps)
                         .map_err(|e| e.to_string());
                     let _ = resp.send(result);
+                    // A free round slot broadcasts inside `submit`.
+                    if !flush(&mut node, &mut frag, &socket, &peers, me, evt_tx, net) {
+                        break;
+                    }
                 }
                 Cmd::Probe(f) => f(hosted(&node, group)),
                 Cmd::Kill | Cmd::Shutdown => break,

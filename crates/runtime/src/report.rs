@@ -120,6 +120,15 @@ pub struct NodeReport {
     pub delivered: u64,
     /// Messages destroyed by orphan elimination.
     pub discarded: u64,
+    /// Recovery requests sent, first asks and retries
+    /// ([`EngineStats::recovery_requests`](urcgc::EngineStats)).
+    pub recovery_requests: u64,
+    /// The retries among them: asks repeated because neither a reply nor a
+    /// newer decision arrived for a whole subrun — lost replies.
+    pub recovery_retries: u64,
+    /// Own submissions that found their round's slot free and went out
+    /// without waiting for a tick.
+    pub immediate_submits: u64,
     /// Per-origin contiguous processed frontier.
     pub frontier: Vec<u64>,
     /// Per-origin order digest of the delivery log ([`order_digests`]).
@@ -146,6 +155,9 @@ impl NodeReport {
             .with("submitted", self.submitted)
             .with("delivered", self.delivered)
             .with("discarded", self.discarded)
+            .with("recovery_requests", self.recovery_requests)
+            .with("recovery_retries", self.recovery_retries)
+            .with("immediate_submits", self.immediate_submits)
             .with(
                 "frontier",
                 self.frontier
@@ -219,6 +231,10 @@ impl NodeReport {
             submitted: get_u64(j, "submitted")?,
             delivered: get_u64(j, "delivered")?,
             discarded: get_u64(j, "discarded")?,
+            // Absent in documents written before the event-driven data path.
+            recovery_requests: get_u64(j, "recovery_requests").unwrap_or(0),
+            recovery_retries: get_u64(j, "recovery_retries").unwrap_or(0),
+            immediate_submits: get_u64(j, "immediate_submits").unwrap_or(0),
             frontier,
             order_digest,
             ordering_ok: get_bool(j, "ordering_ok")?,
@@ -361,6 +377,9 @@ mod tests {
             submitted: 10,
             delivered: 30,
             discarded: 0,
+            recovery_requests: 7,
+            recovery_retries: 2,
+            immediate_submits: 9,
             frontier: vec![10, 10, 10],
             // Includes a digest above 2^53 to prove hex transport is exact.
             order_digest: vec![0xcbf2_9ce4_8422_2325, 1, 0xffff_ffff_ffff_fffe],
@@ -395,6 +414,9 @@ mod tests {
             submitted: 0,
             delivered: 0,
             discarded: 0,
+            recovery_requests: 0,
+            recovery_retries: 0,
+            immediate_submits: 0,
             frontier: vec![0],
             order_digest: vec![fnv1a_stream([])],
             ordering_ok: true,

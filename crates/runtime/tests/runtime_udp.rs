@@ -150,6 +150,38 @@ fn confirm_events_arrive_for_own_submissions() {
 }
 
 #[test]
+fn a_submission_in_a_free_round_does_not_wait_for_the_tick() {
+    // 200 ms rounds: a submission made 50 ms into a round has 150 ms to
+    // wait if it leaves at the next tick. It must be delivered everywhere
+    // inside 50 ms, i.e. it used the running round's slot.
+    let round = Duration::from_millis(200);
+    let mut group = UdpGroup::spawn(ProtocolConfig::new(3), round, 0.0, 43).unwrap();
+    // Watch a round begin, so its phase is known.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let seen = group.handle(1).net_stats().rounds;
+    while group.handle(1).net_stats().rounds == seen {
+        assert!(Instant::now() < deadline, "round ticker never fired");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    std::thread::sleep(round / 4);
+
+    let submitted = Instant::now();
+    let mid = group
+        .handle(1)
+        .submit(Bytes::from_static(b"now"), vec![])
+        .unwrap();
+    for m in 0..3 {
+        let left = (submitted + round / 4).saturating_duration_since(Instant::now());
+        match group.handle(m).next_event(left) {
+            Some(AppEvent::Delivered(msg)) => assert_eq!(msg.mid, mid),
+            other => panic!("member {m}: no delivery within {:?}: {other:?}", round / 4),
+        }
+    }
+    assert_eq!(group.handle(1).stats().unwrap().immediate_submits, 1);
+    group.shutdown();
+}
+
+#[test]
 fn status_snapshot_and_stats_answer_over_the_command_channel() {
     let cfg = ProtocolConfig::new(3);
     let mut group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 41).unwrap();

@@ -462,7 +462,7 @@ impl<N: Node> SimNet<N> {
         &mut self,
         max_rounds: u64,
         settle: u64,
-        done: impl Fn(&Self) -> bool,
+        mut done: impl FnMut(&Self) -> bool,
     ) -> u64 {
         let (mut rounds, mut streak) = (0u64, 0u64);
         while rounds < max_rounds && streak < settle {
