@@ -266,7 +266,7 @@ fn run_node(args: Args) -> ExitCode {
         }
     }
 
-    // Final observation. If the driver died (suicide/left), fall back to
+    // Final observation. If the member ended (suicide/left), fall back to
     // what the log tells us.
     let final_state = handle.with_engine(|e| e.snapshot()).ok();
     let (status, frontier, stats) = match &final_state {

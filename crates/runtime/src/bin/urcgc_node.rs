@@ -152,7 +152,7 @@ fn main() -> ExitCode {
             }
             Some(_) => {}
             None => {
-                // Timeout: loop back to poll stdin. A dead driver surfaces
+                // Timeout: loop back to poll stdin. A dead member surfaces
                 // as a failed submit or a StatusChanged event.
             }
         }

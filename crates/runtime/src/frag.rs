@@ -17,7 +17,7 @@
 //!   ([`Reassembler::evict_expired`], driven by the node's round ticker),
 //!   and the protocol's own recovery machinery resends the payload.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use bytes::{Bytes, BytesMut};
@@ -64,11 +64,12 @@ impl Fragmenter {
     }
 }
 
-/// One incomplete transfer.
+/// One incomplete transfer: the fragments that arrived, by index. What a
+/// transfer holds is what was received — `frag_count` is the sender's word
+/// and reserves nothing.
 struct Partial {
     frag_count: u16,
-    received: u16,
-    slots: Vec<Option<Bytes>>,
+    frags: BTreeMap<u16, Bytes>,
 }
 
 /// Reassembles [`TFrame::Data`] datagrams back into engine frames.
@@ -121,8 +122,7 @@ impl Reassembler {
             self.deadlines.arm(key, now + self.ttl);
             Partial {
                 frag_count,
-                received: 0,
-                slots: vec![None; frag_count as usize],
+                frags: BTreeMap::new(),
             }
         });
         if entry.frag_count != frag_count {
@@ -131,20 +131,18 @@ impl Reassembler {
             self.malformed += 1;
             return None;
         }
-        let slot = &mut entry.slots[frag_index as usize];
-        if slot.is_none() {
-            *slot = Some(payload);
-            entry.received += 1;
-        }
-        if entry.received < entry.frag_count {
+        // The decoder guarantees `frag_index < frag_count`, so a full map
+        // is exactly the indices `0..frag_count`, in order.
+        entry.frags.entry(frag_index).or_insert(payload);
+        if entry.frags.len() < usize::from(frag_count) {
             return None;
         }
         let done = self.partial.remove(&key).expect("entry just completed");
         self.deadlines.disarm(&key);
-        let total: usize = done.slots.iter().map(|s| s.as_ref().unwrap().len()).sum();
+        let total: usize = done.frags.values().map(Bytes::len).sum();
         let mut frame = BytesMut::with_capacity(total);
-        for s in done.slots {
-            frame.extend_from_slice(&s.unwrap());
+        for part in done.frags.values() {
+            frame.extend_from_slice(part);
         }
         Some((src, frame.freeze()))
     }

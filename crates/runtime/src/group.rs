@@ -1,7 +1,7 @@
 //! In-process convenience: a whole group on localhost sockets.
 //!
 //! [`UdpGroup`] spawns `cfg.n` members, each on its own `127.0.0.1:0`
-//! socket with its own three threads ([`spawn_member_on`]) — one OS
+//! socket with its own two threads ([`spawn_member_on`]) — one OS
 //! process, `n` real members talking real UDP. This is the test and
 //! example harness; real deployments run one member per OS process via
 //! [`spawn_member`](crate::spawn_member) (see the `loopback-cluster` and

@@ -5,14 +5,16 @@
 //! Section 7 announces "a first prototype of the algorithm … currently
 //! under development over an Ethernet LAN … among a group of processes
 //! being run on a set of Unix workstations". This crate is that prototype:
-//! each group member is a trio of plain `std::thread`s around a blocking
-//! `std::net::UdpSocket` — a receiver (startup barrier, loss injection), a
-//! round ticker (the wall-clock replacement for the simulator's round
-//! clock), and a driver that owns the engine ([`node`]). No async runtime
-//! is involved, so the crate builds in the same offline environment as the
-//! rest of the workspace.
+//! each group member is its protocol state behind one lock and a pair of
+//! plain `std::thread`s around a blocking `std::net::UdpSocket` — a
+//! receiver (startup barrier, loss injection, then every datagram straight
+//! into the engine) and a round ticker (the wall-clock replacement for the
+//! simulator's round clock); the application's own thread is the third
+//! party, doing its `submit` under the same lock ([`node`]). No async
+//! runtime is involved, so the crate builds in the same offline
+//! environment as the rest of the workspace.
 //!
-//! The [`Engine`](urcgc::Engine) inside each driver is byte-for-byte the
+//! The [`Engine`](urcgc::Engine) inside each member is byte-for-byte the
 //! same state machine the simulator drives — the whole point of the
 //! sans-I/O design. Around it:
 //!
@@ -33,8 +35,9 @@
 //! `UdpGroup::spawn`, `ProcessHandle::{submit, next_event, status,
 //! snapshot, kill}`, `spawn_member` — with blocking methods where the
 //! earlier tokio edition had `async fn`s. Porting back onto an async
-//! runtime is a transport swap, not a redesign: replace the three threads
-//! with tasks and the bounded channel with a select loop; everything above
+//! runtime is a transport swap, not a redesign: the two threads become two
+//! tasks and the lock an async mutex (or one task that selects over socket
+//! and timer and owns the state outright); everything above
 //! [`ProcessHandle`] is unchanged.
 //!
 //! ```no_run

@@ -1,31 +1,45 @@
-//! One group member as three `std::thread`s around a blocking UDP socket.
+//! One group member: its state behind one lock, two `std::thread`s, and
+//! whoever calls the handle.
 //!
 //! ```text
-//!             ┌────────────┐   Event::Datagram    ┌────────────┐
-//!  socket ───▶│  receiver  │──────────────────────▶            │
-//!             │ (barrier,  │   bounded channel    │   driver   │──▶ socket
-//!             │  loss inj.)│                      │ (owns the  │
-//!             └────────────┘      Event::Tick     │  Engine)   │──▶ AppEvent
-//!             ┌────────────┐──────────────────────▶            │    channel
-//!             │   ticker   │                      └─────▲──────┘
-//!             └────────────┘      Event::Cmd(…)         │
-//!                       ProcessHandle ──────────────────┘
+//!             ┌────────────┐ accept → on_frame → fast-forward → flush
+//!  socket ───▶│  receiver  │─────────────────┐
+//!             │ (barrier,  │                 ▼
+//!             │  loss inj.)│        ┌──────────────────┐
+//!             └────────────┘        │ Mutex<Option<    │──▶ socket
+//!             ┌────────────┐        │   Member>>       │
+//!             │   ticker   │───────▶│ (Node, Fragmenter│──▶ AppEvent
+//!             └────────────┘ begin_ │  Reassembler,    │    channel
+//!                            round →│  round counter)  │
+//!             ProcessHandle ───────▶└──────────────────┘
+//!              submit → flush · with_engine · kill
 //! ```
 //!
+//! There is no driver thread and no event queue: whoever has work for the
+//! member takes the lock and does it on its own thread, then flushes the
+//! engine's outputs to the socket (fragmented to the MTU) and the
+//! application channel before letting go.
+//!
 //! * The **receiver** thread runs the startup barrier (hello exchange),
-//!   then forwards datagrams — applying the optional Bernoulli loss
-//!   injector — into a bounded channel. A full channel *drops* the
-//!   datagram (counted): backpressure on a real network is loss, and the
-//!   protocol's recovery machinery already handles loss.
-//! * The **ticker** thread replaces the simulator's round clock: one
-//!   [`Event::Tick`] per `round_duration`, with burst catch-up after
-//!   stalls ([`RoundPacer`]).
-//! * The **driver** thread is the only one touching the [`Engine`]. It is
-//!   a plain event loop: tick → `begin_round`; datagram → reassemble →
-//!   `on_frame`; command → query/submit. After each of the three, all
-//!   engine outputs are flushed to the socket (fragmented to the MTU) or
-//!   the application channel — a submission that finds its round's slot
-//!   free goes out at once, not at the next tick.
+//!   then for every datagram it reads — after the optional Bernoulli loss
+//!   injector — reassembles, hands the frame to the [`Engine`], adopts the
+//!   group's round clock from the decision it may have carried, and
+//!   flushes. A delivery is on the application channel when the
+//!   `recv_from` that carried its last fragment returns to its loop.
+//! * The **ticker** thread replaces the simulator's round clock: when a
+//!   round falls due ([`RoundPacer`], with burst catch-up after stalls) it
+//!   begins it, evicts stale partial transfers, flushes, and ends the
+//!   member if the engine has left the group.
+//! * [`ProcessHandle::submit`] runs `Node::submit` and the flush on the
+//!   caller's thread — a submission that finds its round's slot free is on
+//!   the wire (all n − 1 `send_to`s) when the call returns. Queries read
+//!   the engine under the same lock.
+//!
+//! A dead member — killed, shut down, left, or abandoned by its
+//! application — is `None` behind the lock: nothing is processed or sent
+//! after that, both threads exit at their next wake, and the handle's
+//! calls return [`GroupError::ProcessGone`]. The only queue left in front
+//! of the engine is the kernel's socket buffer.
 //!
 //! The sender of a frame is identified by the fragment header's `src`
 //! field, never by the datagram's source address — so members can sit
@@ -35,9 +49,9 @@
 use std::collections::HashSet;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -64,10 +78,8 @@ const HELLO_ACK: u8 = 0xFE;
 const HELLO_LEN: usize = 3;
 /// How often the barrier re-bursts hellos.
 const HELLO_BURST_EVERY: Duration = Duration::from_millis(40);
-/// Socket read timeout — bounds how stale a stop-flag check can be.
+/// Socket read timeout — bounds how long a dead member's receiver lingers.
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
-/// How long a handle waits for the driver to answer a command.
-const CMD_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Tuning knobs for one node.
 #[derive(Clone, Debug)]
@@ -155,7 +167,7 @@ pub enum AppEvent {
 pub enum GroupError {
     /// Socket setup failed.
     Io(io::Error),
-    /// The member's driver thread has terminated.
+    /// The member is dead: killed, shut down, or it left the group.
     ProcessGone,
     /// The submission or configuration was rejected.
     Rejected(String),
@@ -165,7 +177,7 @@ impl std::fmt::Display for GroupError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             GroupError::Io(e) => write!(f, "socket error: {e}"),
-            GroupError::ProcessGone => write!(f, "process thread has terminated"),
+            GroupError::ProcessGone => write!(f, "the member has terminated"),
             GroupError::Rejected(e) => write!(f, "rejected: {e}"),
         }
     }
@@ -186,9 +198,17 @@ pub struct NetStats {
     pub datagrams_rx: u64,
     /// Datagrams written to the socket (fragments + hellos).
     pub datagrams_tx: u64,
+    /// Bytes of the datagrams read off the socket (UDP payload, no IP/UDP
+    /// headers).
+    pub bytes_rx: u64,
+    /// Bytes of the datagrams written to the socket (UDP payload).
+    pub bytes_tx: u64,
     /// Datagrams discarded by the Bernoulli loss injector.
     pub dropped_loss: u64,
-    /// Datagrams discarded because the driver's event queue was full.
+    /// Always 0, kept because reports and the benchmark read it by name:
+    /// the receiver hands each datagram to the engine itself, so the only
+    /// queue that can overflow is the kernel's socket buffer, and that
+    /// shows in the `drops` column of `/proc/net/udp`.
     pub dropped_backpressure: u64,
     /// Complete engine frames handed to the engine.
     pub frames_rx: u64,
@@ -209,8 +229,9 @@ pub struct NetStats {
 struct NetCounters {
     datagrams_rx: AtomicU64,
     datagrams_tx: AtomicU64,
+    bytes_rx: AtomicU64,
+    bytes_tx: AtomicU64,
     dropped_loss: AtomicU64,
-    dropped_backpressure: AtomicU64,
     frames_rx: AtomicU64,
     malformed: AtomicU64,
     foreign_group_frames: AtomicU64,
@@ -223,8 +244,10 @@ impl NetCounters {
         NetStats {
             datagrams_rx: self.datagrams_rx.load(Ordering::Relaxed),
             datagrams_tx: self.datagrams_tx.load(Ordering::Relaxed),
+            bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
+            bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
             dropped_loss: self.dropped_loss.load(Ordering::Relaxed),
-            dropped_backpressure: self.dropped_backpressure.load(Ordering::Relaxed),
+            dropped_backpressure: 0,
             frames_rx: self.frames_rx.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             foreign_group_frames: self.foreign_group_frames.load(Ordering::Relaxed),
@@ -234,37 +257,207 @@ impl NetCounters {
     }
 }
 
-enum Cmd {
-    Submit {
-        payload: Bytes,
-        deps: Vec<Mid>,
-        resp: Sender<Result<Mid, String>>,
-    },
-    /// Run a closure against the live engine on the driver thread — every
-    /// query of the handle (status, counters, snapshot, the harnesses'
-    /// quiescence predicate) is one of these.
-    Probe(Box<dyn FnOnce(&Engine) + Send>),
-    /// Hard-kill the process (simulated crash: the driver exits
-    /// immediately, mid-protocol, without telling anyone).
-    Kill,
-    Shutdown,
+/// What the member's threads and its handle share: the socket and the
+/// counters, free for all, and the protocol state behind the lock.
+struct Shared {
+    me: ProcessId,
+    opts: NodeOptions,
+    socket: UdpSocket,
+    peers: Vec<SocketAddr>,
+    net: NetCounters,
+    clock: WallClock,
+    /// `None` once the member is dead.
+    member: Mutex<Option<Member>>,
 }
 
-enum Event {
-    Datagram(Bytes),
-    Tick,
-    BarrierDone,
-    Cmd(Cmd),
+/// The protocol state of a live member. Every method runs under
+/// [`Shared::member`]'s lock, on the thread that had the work; those that
+/// return `bool` return false when the member must end.
+struct Member {
+    node: Node,
+    frag: Fragmenter,
+    reasm: Reassembler,
+    /// The next round to begin (fast-forwarded by received decisions).
+    round: u64,
+    /// The round clock is held until the startup barrier completes.
+    barrier_done: bool,
+    evt_tx: Sender<AppEvent>,
 }
 
-/// Client-side handle to one group member. All methods are blocking (with
-/// internal timeouts); the handle is cheap to move to another thread.
+impl Shared {
+    /// Locks the member's state. A poisoned lock — a thread panicked in
+    /// the middle of a protocol step — reads as a dead member.
+    fn lock(&self) -> Result<MutexGuard<'_, Option<Member>>, GroupError> {
+        self.member.lock().map_err(|_| GroupError::ProcessGone)
+    }
+
+    fn is_dead(&self) -> bool {
+        self.lock().map_or(true, |slot| slot.is_none())
+    }
+
+    /// Marks the member dead and drops its state (which closes the
+    /// application channel). An error if it already was.
+    fn end(&self) -> Result<(), GroupError> {
+        let member = self.lock()?.take();
+        member.map(drop).ok_or(GroupError::ProcessGone)
+    }
+
+    /// Takes the lock and runs one protocol step of a live member; the
+    /// member ends if the step says so. False once the member is dead.
+    fn step(&self, step: impl FnOnce(&mut Member, &Shared) -> bool) -> bool {
+        let Ok(mut slot) = self.lock() else {
+            return false;
+        };
+        let alive = slot.as_mut().is_some_and(|member| step(member, self));
+        if !alive {
+            *slot = None;
+        }
+        alive
+    }
+
+    fn send(&self, datagram: &[u8], to: SocketAddr) {
+        let _ = self.socket.send_to(datagram, to);
+        self.net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
+        self.net
+            .bytes_tx
+            .fetch_add(datagram.len() as u64, Ordering::Relaxed);
+    }
+
+    /// Every peer's address but our own.
+    fn others(&self) -> impl Iterator<Item = SocketAddr> + '_ {
+        let me = self.me.index();
+        let others = self.peers.iter().enumerate().filter(move |(i, _)| *i != me);
+        others.map(|(_, addr)| *addr)
+    }
+
+    fn hello_burst(&self) {
+        for addr in self.others() {
+            self.send(&hello(HELLO, self.me), addr);
+        }
+    }
+}
+
+impl Member {
+    /// The hosted group's engine (the runtime node always hosts exactly one).
+    fn engine(&self, io: &Shared) -> &Engine {
+        self.node
+            .engine(io.opts.group)
+            .expect("runtime node hosts its group")
+    }
+
+    /// One datagram off the socket: reassemble, hand the frame to the
+    /// engine, adopt the group's round clock, flush.
+    fn on_datagram(&mut self, io: &Shared, datagram: &[u8]) -> bool {
+        let datagram = Bytes::copy_from_slice(datagram);
+        let Some((from, frame)) = self.reasm.accept(datagram, io.clock.now()) else {
+            // Partial transfer or malformed datagram.
+            self.count_rejects(io);
+            return true;
+        };
+        io.net.frames_rx.fetch_add(1, Ordering::Relaxed);
+        if self.node.on_frame(from, &frame).is_none() {
+            // Either the envelope/PDU was undecodable or the frame named a
+            // group this node does not host.
+            self.count_rejects(io);
+            return true;
+        }
+        // Round synchronization: the paper's model is synchronous rounds,
+        // but independently started OS processes boot with round 0.
+        // Decisions carry the group's subrun clock; a process that is
+        // behind fast-forwards so its requests land in the subrun the rest
+        // of the group is actually running.
+        let group_subrun = self.engine(io).last_decision().subrun.0;
+        self.round = self.round.max(2 * (group_subrun + 1));
+        self.flush(io)
+    }
+
+    /// Publishes the reject counters. Reassembler and node count
+    /// monotonically and every writer holds the lock, so storing their sums
+    /// is the same as adding what they grew by.
+    fn count_rejects(&self, io: &Shared) {
+        let malformed = self.reasm.malformed() + self.node.undecodable();
+        io.net.malformed.store(malformed, Ordering::Relaxed);
+        io.net
+            .foreign_group_frames
+            .store(self.node.foreign_frames(), Ordering::Relaxed);
+    }
+
+    /// The round that fell due: begin it, evict stale partial transfers,
+    /// flush, and end the member once its engine has left the group.
+    fn on_round(&mut self, io: &Shared) -> bool {
+        if !self.barrier_done {
+            return true; // hold the round clock until the group exists
+        }
+        self.node.begin_round(Round(self.round));
+        self.round += 1;
+        io.net.rounds.fetch_add(1, Ordering::Relaxed);
+        self.reasm.evict_expired(io.clock.now());
+        io.net
+            .reassembly_evicted
+            .store(self.reasm.evicted(), Ordering::Relaxed);
+        if !self.flush(io) {
+            return false;
+        }
+        let status = self.engine(io).status();
+        if !status.is_active() {
+            let _ = self.evt_tx.send(AppEvent::StatusChanged(status));
+        }
+        status.is_active()
+    }
+
+    /// Drains node outputs onto the socket / event channel. Returns false
+    /// if the application side is gone.
+    fn flush(&mut self, io: &Shared) -> bool {
+        while let Some((group, out)) = self.node.poll_output() {
+            let event = match out {
+                Output::Send { to, pdu } => {
+                    // `to` can echo a wire-derived sender id; an address we
+                    // do not have is an omission, never a panic.
+                    if let Some(&addr) = io.peers.get(to.index()) {
+                        let frame = self.node.encode(group, &pdu);
+                        for gram in self.frag.split(&frame) {
+                            io.send(&gram, addr);
+                        }
+                    }
+                    continue;
+                }
+                Output::Broadcast { pdu } => {
+                    // Encode (with the group envelope) and fragment once;
+                    // receivers key reassembly by (src, xfer), so the same
+                    // fragments fan out to everyone.
+                    let frame = self.node.encode(group, &pdu);
+                    let grams = self.frag.split(&frame);
+                    for addr in io.others() {
+                        for gram in &grams {
+                            io.send(gram, addr);
+                        }
+                    }
+                    continue;
+                }
+                Output::Deliver { msg } => AppEvent::Delivered(msg),
+                Output::Confirm { mid } => AppEvent::Confirmed(mid),
+                Output::Discarded { mids } => AppEvent::Discarded(mids),
+                Output::StatusChanged { status, .. } => AppEvent::StatusChanged(status),
+            };
+            if self.evt_tx.send(event).is_err() {
+                return false;
+            }
+        }
+        true
+    }
+}
+
+/// Client-side handle to one group member. Calls do their work on the
+/// caller's thread under the member's lock; none waits for another thread
+/// to answer. Queries and [`submit`](ProcessHandle::submit) take `&self`
+/// and the handle is `Sync`, so several application threads may share one.
 pub struct ProcessHandle {
     id: ProcessId,
     local_addr: SocketAddr,
-    tx: SyncSender<Event>,
-    evt_rx: Receiver<AppEvent>,
-    net: Arc<NetCounters>,
+    /// Touched only through `&mut self` (`Mutex::get_mut`, never locked);
+    /// the wrapper is what makes the handle `Sync`.
+    evt_rx: Mutex<Receiver<AppEvent>>,
+    shared: Arc<Shared>,
 }
 
 impl ProcessHandle {
@@ -278,33 +471,36 @@ impl ProcessHandle {
         self.local_addr
     }
 
-    fn send(&self, ev: Event) -> Result<(), GroupError> {
-        self.tx.send(ev).map_err(|_| GroupError::ProcessGone)
+    /// Submits a message with explicit causal dependencies; returns the
+    /// assigned mid. A submission that finds its round's slot free has
+    /// been sent to every peer when this returns.
+    pub fn submit(&self, payload: Bytes, deps: Vec<Mid>) -> Result<Mid, GroupError> {
+        let mut result = Err(GroupError::ProcessGone);
+        self.shared.step(|member, io| {
+            result = member
+                .node
+                .submit(io.opts.group, payload, &deps)
+                .map_err(|e| GroupError::Rejected(e.to_string()));
+            member.flush(io)
+        });
+        result
     }
 
-    /// Submits a message with explicit causal dependencies; returns the
-    /// assigned mid.
-    pub fn submit(&self, payload: Bytes, deps: Vec<Mid>) -> Result<Mid, GroupError> {
-        let (resp, rx) = mpsc::channel();
-        self.send(Event::Cmd(Cmd::Submit {
-            payload,
-            deps,
-            resp,
-        }))?;
-        rx.recv_timeout(CMD_TIMEOUT)
-            .map_err(|_| GroupError::ProcessGone)?
-            .map_err(GroupError::Rejected)
+    fn events(&mut self) -> &mut Receiver<AppEvent> {
+        self.evt_rx
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Waits up to `timeout` for the next application event. `None` means
     /// the timeout elapsed or the member exited.
     pub fn next_event(&mut self, timeout: Duration) -> Option<AppEvent> {
-        self.evt_rx.recv_timeout(timeout).ok()
+        self.events().recv_timeout(timeout).ok()
     }
 
     /// Non-blocking event poll.
     pub fn try_event(&mut self) -> Option<AppEvent> {
-        self.evt_rx.try_recv().ok()
+        self.events().try_recv().ok()
     }
 
     /// Queries the entity's life-cycle status.
@@ -323,40 +519,34 @@ impl ProcessHandle {
         self.with_engine(Engine::snapshot)
     }
 
-    /// Runs `f` against the live engine on the driver thread and returns
-    /// its result — arbitrary read-only observation (the loopback-cluster
-    /// harness evaluates its quiescence predicate through this).
-    pub fn with_engine<T, F>(&self, f: F) -> Result<T, GroupError>
-    where
-        T: Send + 'static,
-        F: FnOnce(&Engine) -> T + Send + 'static,
-    {
-        let (resp, rx) = mpsc::channel();
-        self.send(Event::Cmd(Cmd::Probe(Box::new(move |engine| {
-            let _ = resp.send(f(engine));
-        }))))?;
-        rx.recv_timeout(CMD_TIMEOUT)
-            .map_err(|_| GroupError::ProcessGone)
+    /// Runs `f` against the live engine, on this thread and under the
+    /// member's lock, and returns its result — arbitrary read-only
+    /// observation (the loopback-cluster harness evaluates its quiescence
+    /// predicate through this). The member processes nothing while `f`
+    /// runs, and `f` must not call back into this member's handle.
+    pub fn with_engine<T>(&self, f: impl FnOnce(&Engine) -> T) -> Result<T, GroupError> {
+        let slot = self.shared.lock()?;
+        let member = slot.as_ref().ok_or(GroupError::ProcessGone)?;
+        Ok(f(member.engine(&self.shared)))
     }
 
-    /// Network-layer counters (lock-free read; no driver round-trip).
+    /// Network-layer counters (lock-free read; they outlive the member).
     pub fn net_stats(&self) -> NetStats {
-        self.net.snapshot()
+        self.shared.net.snapshot()
     }
 
-    /// Simulates a fail-stop crash: the driver thread exits immediately,
+    /// Simulates a fail-stop crash: the member is dead when this returns —
     /// mid-protocol, without notifying the group. The survivors are
     /// expected to detect the crash through the protocol's `attempts`
-    /// counters within `K` subruns.
+    /// counters within `K` subruns. Killing a dead member is an error.
     pub fn kill(&self) -> Result<(), GroupError> {
-        self.send(Event::Cmd(Cmd::Kill))
+        self.shared.end()
     }
 }
 
 /// Deferred shutdown token: stops members and joins their threads.
 pub struct GroupShutdown {
-    txs: Vec<SyncSender<Event>>,
-    stops: Vec<Arc<AtomicBool>>,
+    members: Vec<Arc<Shared>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -364,26 +554,21 @@ impl GroupShutdown {
     /// An empty token, for aggregating members spawned one by one.
     pub fn empty() -> GroupShutdown {
         GroupShutdown {
-            txs: Vec::new(),
-            stops: Vec::new(),
+            members: Vec::new(),
             threads: Vec::new(),
         }
     }
 
     /// Folds another token's members into this one.
     pub fn merge(&mut self, other: GroupShutdown) {
-        self.txs.extend(other.txs);
-        self.stops.extend(other.stops);
+        self.members.extend(other.members);
         self.threads.extend(other.threads);
     }
 
     /// Stops all members and joins their threads.
     pub fn shutdown(self) {
-        for tx in &self.txs {
-            let _ = tx.send(Event::Cmd(Cmd::Shutdown));
-        }
-        for stop in &self.stops {
-            stop.store(true, Ordering::Relaxed);
+        for member in &self.members {
+            let _ = member.end(); // already dead is fine
         }
         for t in self.threads {
             let _ = t.join();
@@ -435,64 +620,52 @@ pub fn spawn_member_on(
     }
     let local_addr = socket.local_addr()?;
     socket.set_read_timeout(Some(READ_TIMEOUT))?;
-    let rx_socket = socket.try_clone()?;
-    let tx_socket = socket;
 
-    let node = Node::single(me, opts.group, cfg);
-    let (tx, rx) = mpsc::sync_channel::<Event>(4096);
     let (evt_tx, evt_rx) = mpsc::channel::<AppEvent>();
-    let stop = Arc::new(AtomicBool::new(false));
-    let net = Arc::new(NetCounters::default());
+    let member = Member {
+        node: Node::single(me, opts.group, cfg),
+        frag: Fragmenter::new(me, opts.mtu),
+        reasm: Reassembler::new(opts.reassembly_ttl),
+        round: 0,
+        barrier_done: false,
+        evt_tx,
+    };
+    let shared = Arc::new(Shared {
+        me,
+        opts,
+        socket,
+        peers,
+        net: NetCounters::default(),
+        clock: WallClock::new(),
+        member: Mutex::new(Some(member)),
+    });
 
-    let mut threads = Vec::with_capacity(3);
-    {
-        let (tx, stop, net, peers, opts) = (
-            tx.clone(),
-            stop.clone(),
-            net.clone(),
-            peers.clone(),
-            opts.clone(),
-        );
-        threads.push(
-            thread::Builder::new()
-                .name(format!("urcgc-rx-{}", me.0))
-                .spawn(move || receiver_loop(rx_socket, me, &peers, &opts, &tx, &net, &stop))
-                .map_err(GroupError::Io)?,
-        );
+    let mut shutdown = GroupShutdown {
+        members: vec![shared.clone()],
+        threads: Vec::with_capacity(2),
+    };
+    for (name, body) in [("rx", receiver_loop as fn(&Shared)), ("tick", ticker_loop)] {
+        let shared = shared.clone();
+        let spawned = thread::Builder::new()
+            .name(format!("urcgc-{name}-{}", me.0))
+            .spawn(move || body(&shared));
+        match spawned {
+            Ok(thread) => shutdown.threads.push(thread),
+            Err(e) => {
+                shutdown.shutdown();
+                return Err(GroupError::Io(e));
+            }
+        }
     }
-    {
-        let (tx, stop, period) = (tx.clone(), stop.clone(), opts.round_duration);
-        threads.push(
-            thread::Builder::new()
-                .name(format!("urcgc-tick-{}", me.0))
-                .spawn(move || ticker_loop(period, &tx, &stop))
-                .map_err(GroupError::Io)?,
-        );
-    }
-    {
-        let (stop, net, evt_tx) = (stop.clone(), net.clone(), evt_tx.clone());
-        threads.push(
-            thread::Builder::new()
-                .name(format!("urcgc-drv-{}", me.0))
-                .spawn(move || driver_loop(node, tx_socket, peers, opts, rx, &evt_tx, &net, &stop))
-                .map_err(GroupError::Io)?,
-        );
-    }
-    drop(evt_tx);
 
     Ok((
         ProcessHandle {
             id: me,
             local_addr,
-            tx: tx.clone(),
-            evt_rx,
-            net,
+            evt_rx: Mutex::new(evt_rx),
+            shared,
         },
-        GroupShutdown {
-            txs: vec![tx],
-            stops: vec![stop],
-            threads,
-        },
+        shutdown,
     ))
 }
 
@@ -529,15 +702,6 @@ fn peek_src(buf: &[u8]) -> Option<ProcessId> {
     }
 }
 
-fn hello_burst(socket: &UdpSocket, me: ProcessId, peers: &[SocketAddr], net: &NetCounters) {
-    for (i, addr) in peers.iter().enumerate() {
-        if i != me.index() {
-            let _ = socket.send_to(&hello(HELLO, me), addr);
-            net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
 /// Startup barrier + receive loop.
 ///
 /// Fixed-membership round protocols need all members present before
@@ -549,82 +713,90 @@ fn hello_burst(socket: &UdpSocket, me: ProcessId, peers: &[SocketAddr], net: &Ne
 /// member answers any stray hello with a hello-ack — under packet loss a
 /// peer may still be stuck in its own barrier, and the answer is what
 /// releases it. Hello-acks are never answered.
-fn receiver_loop(
-    socket: UdpSocket,
-    me: ProcessId,
-    peers: &[SocketAddr],
-    opts: &NodeOptions,
-    tx: &SyncSender<Event>,
-    net: &NetCounters,
-    stop: &AtomicBool,
-) {
+fn receiver_loop(io: &Shared) {
     let mut buf = vec![0u8; 64 * 1024];
-    let mut seen: HashSet<ProcessId> = [me].into();
-    let deadline = Instant::now() + opts.hello_deadline;
+    // One datagram, or `None` when the read timed out; `Err` is fatal.
+    let read = |buf: &mut [u8]| match io.socket.recv_from(buf) {
+        Ok((len, _)) => {
+            io.net.datagrams_rx.fetch_add(1, Ordering::Relaxed);
+            io.net.bytes_rx.fetch_add(len as u64, Ordering::Relaxed);
+            Ok(Some(len))
+        }
+        Err(e) if would_block(&e) => Ok(None),
+        Err(e) => Err(e),
+    };
+
+    let mut seen: HashSet<ProcessId> = [io.me].into();
+    let deadline = Instant::now() + io.opts.hello_deadline;
     let mut last_burst: Option<Instant> = None;
-    while !stop.load(Ordering::Relaxed) && seen.len() < peers.len() && Instant::now() < deadline {
+    while seen.len() < io.peers.len() && Instant::now() < deadline {
+        if io.is_dead() {
+            return;
+        }
         if last_burst.map_or(true, |t| t.elapsed() >= HELLO_BURST_EVERY) {
-            hello_burst(&socket, me, peers, net);
+            io.hello_burst();
             last_burst = Some(Instant::now());
         }
-        match socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                net.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                let from = match parse_hello(&buf[..len]) {
-                    Some((_, from)) => Some(from),
-                    None => {
-                        // A peer past its barrier is already talking
-                        // protocol: that counts as presence, and the frame
-                        // must not be lost — forward it.
-                        forward(tx, net, &buf[..len]);
-                        peek_src(&buf[..len])
-                    }
-                };
-                // Neither id is checksummed: one outside the group is
-                // nobody, and must not shorten the barrier.
-                if let Some(from) = from.filter(|p| p.index() < peers.len()) {
-                    seen.insert(from);
-                }
-            }
-            Err(e) if would_block(&e) => {}
+        let datagram = match read(&mut buf) {
+            Ok(Some(len)) => &buf[..len],
+            Ok(None) => continue,
             Err(_) => return,
+        };
+        let from = match parse_hello(datagram) {
+            Some((_, from)) => Some(from),
+            None => {
+                // A peer past its barrier is already talking protocol:
+                // that counts as presence, and the frame must not be lost.
+                if !io.step(|member, io| member.on_datagram(io, datagram)) {
+                    return;
+                }
+                peek_src(datagram)
+            }
+        };
+        // Neither id is checksummed: one outside the group is nobody, and
+        // must not shorten the barrier.
+        if let Some(from) = from.filter(|p| p.index() < io.peers.len()) {
+            seen.insert(from);
         }
     }
     // One parting burst so peers still inside their barrier see us even if
     // our earlier hellos raced their bind().
-    hello_burst(&socket, me, peers, net);
-    if tx.send(Event::BarrierDone).is_err() {
+    let released = io.step(|member, io| {
+        io.hello_burst();
+        member.barrier_done = true;
+        true
+    });
+    if !released {
         return;
     }
 
-    let mut rng = ChaCha8Rng::seed_from_u64(opts.seed);
+    let mut rng = ChaCha8Rng::seed_from_u64(io.opts.seed);
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        match socket.recv_from(&mut buf) {
-            Ok((len, _)) => {
-                net.datagrams_rx.fetch_add(1, Ordering::Relaxed);
-                if opts.loss > 0.0 && rng.gen_bool(opts.loss) {
-                    net.dropped_loss.fetch_add(1, Ordering::Relaxed);
-                    continue; // injected omission
-                }
-                if let Some((tag, from)) = parse_hello(&buf[..len]) {
-                    // A hello may come from a peer still inside its startup
-                    // barrier: answer so it can complete even when its own
-                    // hellos are being lost.
-                    if tag == HELLO && from != me && from.index() < peers.len() {
-                        let _ = socket.send_to(&hello(HELLO_ACK, me), peers[from.index()]);
-                        net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-                    }
-                    continue;
-                }
-                if !forward(tx, net, &buf[..len]) {
-                    return;
-                }
-            }
-            Err(e) if would_block(&e) => {}
+        let datagram = match read(&mut buf) {
+            Ok(Some(len)) => &buf[..len],
+            Ok(None) if io.is_dead() => return,
+            Ok(None) => continue,
             Err(_) => return,
+        };
+        if io.opts.loss > 0.0 && rng.gen_bool(io.opts.loss) {
+            io.net.dropped_loss.fetch_add(1, Ordering::Relaxed);
+            continue; // injected omission
+        }
+        let alive = io.step(|member, io| match parse_hello(datagram) {
+            // A hello may come from a peer still inside its startup
+            // barrier: answer so it can complete even when its own hellos
+            // are being lost.
+            Some((HELLO, from)) if from != io.me => {
+                if let Some(&addr) = io.peers.get(from.index()) {
+                    io.send(&hello(HELLO_ACK, io.me), addr);
+                }
+                true
+            }
+            Some(_) => true,
+            None => member.on_datagram(io, datagram),
+        });
+        if !alive {
+            return;
         }
     }
 }
@@ -636,234 +808,25 @@ fn would_block(e: &io::Error) -> bool {
     )
 }
 
-/// Hands a datagram to the driver; a full queue counts as loss. Returns
-/// false when the driver is gone.
-fn forward(tx: &SyncSender<Event>, net: &NetCounters, buf: &[u8]) -> bool {
-    match tx.try_send(Event::Datagram(Bytes::copy_from_slice(buf))) {
-        Ok(()) => true,
-        Err(TrySendError::Full(_)) => {
-            net.dropped_backpressure.fetch_add(1, Ordering::Relaxed);
-            true
-        }
-        Err(TrySendError::Disconnected(_)) => false,
-    }
-}
-
-/// Paces [`Event::Tick`]s at the round cadence, bursting through every
-/// owed round after a stall ([`RoundPacer`]).
-fn ticker_loop(period: Duration, tx: &SyncSender<Event>, stop: &AtomicBool) {
-    let clock = WallClock::new();
-    let mut pacer = RoundPacer::new(clock.now(), period);
+/// Begins each round as it falls due, bursting through every owed round
+/// after a stall ([`RoundPacer`]).
+fn ticker_loop(io: &Shared) {
+    let mut pacer = RoundPacer::new(io.clock.now(), io.opts.round_duration);
     loop {
-        if stop.load(Ordering::Relaxed) {
-            return;
-        }
-        let now = clock.now();
-        if pacer.poll(now).is_some() {
-            if tx.send(Event::Tick).is_err() {
+        if pacer.poll(io.clock.now()).is_some() {
+            if !io.step(Member::on_round) {
                 return;
             }
             continue;
         }
+        if io.is_dead() {
+            return;
+        }
         let wait = pacer
-            .until_due(clock.now())
+            .until_due(io.clock.now())
             .clamp(Duration::from_micros(200), Duration::from_millis(50));
         thread::sleep(wait);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn driver_loop(
-    mut node: Node,
-    socket: UdpSocket,
-    peers: Vec<SocketAddr>,
-    opts: NodeOptions,
-    rx: Receiver<Event>,
-    evt_tx: &Sender<AppEvent>,
-    net: &NetCounters,
-    stop: &AtomicBool,
-) {
-    let me = node.me();
-    let group = opts.group;
-    let clock = WallClock::new();
-    let mut frag = Fragmenter::new(me, opts.mtu);
-    let mut reasm = Reassembler::new(opts.reassembly_ttl);
-    let mut round: u64 = 0;
-    let mut barrier_done = false;
-    let mut malformed_seen: u64 = 0;
-    let mut undecodable_seen: u64 = 0;
-    let mut foreign_seen: u64 = 0;
-
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let ev = match rx.recv_timeout(Duration::from_millis(100)) {
-            Ok(ev) => ev,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        };
-        match ev {
-            Event::BarrierDone => barrier_done = true,
-            Event::Tick => {
-                if !barrier_done {
-                    continue; // hold the round clock until the group exists
-                }
-                node.begin_round(Round(round));
-                round += 1;
-                net.rounds.fetch_add(1, Ordering::Relaxed);
-                let evicted = reasm.evict_expired(clock.now());
-                if evicted > 0 {
-                    net.reassembly_evicted
-                        .fetch_add(evicted as u64, Ordering::Relaxed);
-                }
-                if !flush(&mut node, &mut frag, &socket, &peers, me, evt_tx, net) {
-                    break;
-                }
-                let status = hosted(&node, group).status();
-                if !status.is_active() {
-                    let _ = evt_tx.send(AppEvent::StatusChanged(status));
-                    break;
-                }
-            }
-            Event::Datagram(gram) => {
-                let Some((from, frame)) = reasm.accept(gram, clock.now()) else {
-                    // Partial transfer or malformed datagram; sync the
-                    // malformed counter either way.
-                    let m = reasm.malformed();
-                    if m > malformed_seen {
-                        net.malformed
-                            .fetch_add(m - malformed_seen, Ordering::Relaxed);
-                        malformed_seen = m;
-                    }
-                    continue;
-                };
-                net.frames_rx.fetch_add(1, Ordering::Relaxed);
-                if node.on_frame(from, &frame).is_none() {
-                    // Either the envelope/PDU was undecodable or the frame
-                    // named a group this node does not host; reconcile both
-                    // monotonic counters against the net stats.
-                    let u = node.undecodable();
-                    if u > undecodable_seen {
-                        net.malformed
-                            .fetch_add(u - undecodable_seen, Ordering::Relaxed);
-                        undecodable_seen = u;
-                    }
-                    let fg = node.foreign_frames();
-                    if fg > foreign_seen {
-                        net.foreign_group_frames
-                            .fetch_add(fg - foreign_seen, Ordering::Relaxed);
-                        foreign_seen = fg;
-                    }
-                    continue;
-                }
-                // Round synchronization: the paper's model is synchronous
-                // rounds, but independently started OS processes boot with
-                // round 0. Decisions carry the group's subrun clock; a
-                // process that is behind fast-forwards so its requests land
-                // in the subrun the rest of the group is actually running.
-                let group_subrun = hosted(&node, group).last_decision().subrun.0;
-                let sync_round = 2 * (group_subrun + 1);
-                if round < sync_round {
-                    round = sync_round;
-                }
-                if !flush(&mut node, &mut frag, &socket, &peers, me, evt_tx, net) {
-                    break;
-                }
-            }
-            Event::Cmd(cmd) => match cmd {
-                Cmd::Submit {
-                    payload,
-                    deps,
-                    resp,
-                } => {
-                    let result = node
-                        .submit(group, payload, &deps)
-                        .map_err(|e| e.to_string());
-                    let _ = resp.send(result);
-                    // A free round slot broadcasts inside `submit`.
-                    if !flush(&mut node, &mut frag, &socket, &peers, me, evt_tx, net) {
-                        break;
-                    }
-                }
-                Cmd::Probe(f) => f(hosted(&node, group)),
-                Cmd::Kill | Cmd::Shutdown => break,
-            },
-        }
-    }
-    // Whatever ended the driver ends the node: release the receiver and
-    // ticker threads too.
-    stop.store(true, Ordering::Relaxed);
-}
-
-/// The hosted group's engine (the runtime node always hosts exactly one).
-fn hosted(node: &Node, group: GroupId) -> &Engine {
-    node.engine(group).expect("runtime node hosts its group")
-}
-
-/// Drains node outputs onto the socket / event channel. Returns false if
-/// the application side is gone.
-fn flush(
-    node: &mut Node,
-    frag: &mut Fragmenter,
-    socket: &UdpSocket,
-    peers: &[SocketAddr],
-    me: ProcessId,
-    evt_tx: &Sender<AppEvent>,
-    net: &NetCounters,
-) -> bool {
-    while let Some((group, out)) = node.poll_output() {
-        match out {
-            Output::Send { to, pdu } => {
-                // `to` can echo a wire-derived sender id; an address we
-                // do not have is an omission, never a panic.
-                let Some(addr) = peers.get(to.index()) else {
-                    continue;
-                };
-                let frame = node.encode(group, &pdu);
-                for gram in frag.split(&frame) {
-                    let _ = socket.send_to(&gram, addr);
-                    net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            Output::Broadcast { pdu } => {
-                // Encode (with the group envelope) and fragment once;
-                // receivers key reassembly by (src, xfer), so the same
-                // fragments fan out to everyone.
-                let frame = node.encode(group, &pdu);
-                let grams = frag.split(&frame);
-                for (i, addr) in peers.iter().enumerate() {
-                    if i != me.index() {
-                        for gram in &grams {
-                            let _ = socket.send_to(gram, addr);
-                            net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-            Output::Deliver { msg } => {
-                if evt_tx.send(AppEvent::Delivered(msg)).is_err() {
-                    return false;
-                }
-            }
-            Output::Confirm { mid } => {
-                if evt_tx.send(AppEvent::Confirmed(mid)).is_err() {
-                    return false;
-                }
-            }
-            Output::Discarded { mids } => {
-                if evt_tx.send(AppEvent::Discarded(mids)).is_err() {
-                    return false;
-                }
-            }
-            Output::StatusChanged { status, .. } => {
-                if evt_tx.send(AppEvent::StatusChanged(status)).is_err() {
-                    return false;
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -181,6 +181,8 @@ impl NodeReport {
             Json::obj()
                 .with("datagrams_rx", self.net.datagrams_rx)
                 .with("datagrams_tx", self.net.datagrams_tx)
+                .with("bytes_rx", self.net.bytes_rx)
+                .with("bytes_tx", self.net.bytes_tx)
                 .with("dropped_loss", self.net.dropped_loss)
                 .with("dropped_backpressure", self.net.dropped_backpressure)
                 .with("frames_rx", self.net.frames_rx)
@@ -214,6 +216,9 @@ impl NodeReport {
         let net = NetStats {
             datagrams_rx: get_u64(net_j, "datagrams_rx")?,
             datagrams_tx: get_u64(net_j, "datagrams_tx")?,
+            // Absent in documents written before the byte counters.
+            bytes_rx: get_u64(net_j, "bytes_rx").unwrap_or(0),
+            bytes_tx: get_u64(net_j, "bytes_tx").unwrap_or(0),
             dropped_loss: get_u64(net_j, "dropped_loss")?,
             dropped_backpressure: get_u64(net_j, "dropped_backpressure")?,
             frames_rx: get_u64(net_j, "frames_rx")?,
@@ -388,6 +393,8 @@ mod tests {
             net: NetStats {
                 datagrams_rx: 1000,
                 datagrams_tx: 900,
+                bytes_rx: 64_000,
+                bytes_tx: 57_600,
                 dropped_loss: 50,
                 dropped_backpressure: 1,
                 frames_rx: 800,

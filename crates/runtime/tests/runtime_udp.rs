@@ -5,12 +5,15 @@
 
 use std::collections::{HashMap, HashSet};
 use std::net::UdpSocket;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Barrier};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use urcgc_runtime::{
-    spawn_member_on, workload_quiescent, AppEvent, Fragmenter, GroupShutdown, LossyProxy,
-    NodeOptions, ProcessHandle, ProxyOptions, Reassembler, UdpGroup,
+    check_delivery_log, order_digests, spawn_member_on, workload_quiescent, AppEvent, Fragmenter,
+    GroupError, GroupShutdown, LossyProxy, NodeOptions, ProcessHandle, ProxyOptions, Reassembler,
+    UdpGroup,
 };
 use urcgc_types::{
     decode_group, encode_group, encode_pdu, frame_kind, GroupId, Mid, Pdu, PduKind, ProcessId,
@@ -182,7 +185,7 @@ fn a_submission_in_a_free_round_does_not_wait_for_the_tick() {
 }
 
 #[test]
-fn status_snapshot_and_stats_answer_over_the_command_channel() {
+fn status_snapshot_and_stats_read_the_live_engine() {
     let cfg = ProtocolConfig::new(3);
     let mut group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 41).unwrap();
     let mid = group
@@ -259,6 +262,140 @@ fn killed_member_is_detected_by_survivors() {
         .unwrap();
     assert_eq!(drain_until(group.handle(0), 1, 15), vec![after]);
     group.shutdown();
+}
+
+#[test]
+fn a_killed_member_answers_process_gone_at_once() {
+    let cfg = ProtocolConfig::new(3);
+    let mut group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 59).unwrap();
+    let mid = group
+        .handle(2)
+        .submit(Bytes::from_static(b"last words"), vec![])
+        .unwrap();
+    assert_eq!(drain_until(group.handle(2), 1, 10), vec![mid]);
+
+    let victim = group.handle(2);
+    victim.kill().unwrap();
+    // Nothing stands between the caller and the member's state: each call
+    // finds it dead under the lock, none waits out a timeout.
+    let asked = Instant::now();
+    let gone = |r: Result<(), GroupError>| assert!(matches!(r, Err(GroupError::ProcessGone)));
+    gone(
+        victim
+            .submit(Bytes::from_static(b"too late"), vec![])
+            .map(drop),
+    );
+    gone(victim.status().map(drop));
+    gone(victim.with_engine(|e| e.gauges()).map(drop));
+    gone(victim.kill());
+    assert!(
+        asked.elapsed() < Duration::from_millis(100),
+        "a dead member took {:?} to say so",
+        asked.elapsed()
+    );
+    // The counters outlive the member, and stop moving with it.
+    let net = victim.net_stats();
+    assert!(net.rounds > 0 && net.bytes_tx > 0 && net.bytes_rx > 0);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(victim.net_stats().datagrams_tx, net.datagrams_tx);
+    group.shutdown();
+}
+
+#[test]
+fn the_member_lock_under_contention_keeps_order_and_loses_nothing() {
+    // Two application threads submit to two members while a third reads
+    // both engines in a tight loop; the members' own receiver and ticker
+    // threads take the same locks all the while.
+    const EACH: usize = 150;
+    let n = 3;
+    let cfg = ProtocolConfig::new(n);
+    let group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 67).unwrap();
+    let (mut handles, shutdown) = group.into_handles();
+
+    let start = Barrier::new(3);
+    let done = AtomicBool::new(false);
+    let submit_all = |h: &ProcessHandle| -> usize {
+        start.wait();
+        (0..EACH)
+            .filter(|&k| h.submit(Bytes::from(vec![k as u8; 32]), vec![]).is_err())
+            .count()
+    };
+    let (rejected, probes) = std::thread::scope(|s| {
+        let a = s.spawn(|| submit_all(&handles[0]));
+        let b = s.spawn(|| submit_all(&handles[1]));
+        let prober = s.spawn(|| {
+            start.wait();
+            let mut probes = 0u64;
+            while !done.load(Ordering::Relaxed) {
+                for h in &handles[..2] {
+                    h.with_engine(|e| e.gauges()).expect("member alive");
+                    probes += 1;
+                }
+            }
+            probes
+        });
+        let rejected = a.join().unwrap() + b.join().unwrap();
+        done.store(true, Ordering::Relaxed);
+        (rejected, prober.join().unwrap())
+    });
+    assert_eq!(rejected, 0, "a submit was refused");
+    assert!(probes > 0);
+
+    let mut digests = Vec::new();
+    for (m, h) in handles.iter_mut().enumerate() {
+        let mut log = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while log.len() < 2 * EACH {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match h.next_event(left) {
+                Some(AppEvent::Delivered(msg)) => log.push((msg.mid, msg.deps.clone())),
+                Some(_) => {}
+                None => panic!("member {m} delivered {} of {}", log.len(), 2 * EACH),
+            }
+        }
+        let (ok, detail) = check_delivery_log(&log);
+        assert!(ok, "member {m}: {detail:?}");
+        let mids: Vec<Mid> = log.iter().map(|(mid, _)| *mid).collect();
+        digests.push(order_digests(n, &mids));
+    }
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "members disagree on per-origin order: {digests:x?}"
+    );
+    shutdown.shutdown();
+}
+
+#[test]
+fn an_application_that_never_reads_its_events_does_not_block_shutdown() {
+    let n = 3;
+    let cfg = ProtocolConfig::new(n);
+    let group = UdpGroup::spawn(cfg, Duration::from_millis(4), 0.0, 71).unwrap();
+    let (handles, shutdown) = group.into_handles();
+    let sent = 40u64;
+    for k in 0..sent {
+        handles[0]
+            .submit(Bytes::from(vec![k as u8]), vec![])
+            .unwrap();
+    }
+    // Everything is processed everywhere, and not one event is taken.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !handles
+        .iter()
+        .all(|h| h.stats().is_ok_and(|s| s.processed == sent))
+    {
+        assert!(Instant::now() < deadline, "the group never converged");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let (stopped_tx, stopped) = mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        shutdown.shutdown();
+        let _ = stopped_tx.send(());
+    });
+    stopped
+        .recv_timeout(Duration::from_secs(5))
+        .expect("shutdown() hung on a member with unread events");
+    stopper.join().unwrap();
+    assert!(matches!(handles[1].status(), Err(GroupError::ProcessGone)));
 }
 
 #[test]
