@@ -18,6 +18,7 @@
 //!   history cleaning on `full_group` decisions, orphan-sequence
 //!   destruction on decided unrecoverable gaps.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -39,6 +40,20 @@ use crate::output::{EngineStats, Output, ProcessStatus, StatusReason, SubmitErro
 /// absorb stragglers whose latency exceeds one round (see
 /// `Engine::handle_request`).
 const REQUEST_STALENESS_SUBRUNS: u64 = 2;
+
+/// The genesis decision every engine of an `n`-member group boots with. It
+/// is immutable and a function of `n` alone, so the engines a thread builds
+/// for one group size share the handle (a node hosting 1 000 groups would
+/// otherwise build the same six vectors 1 000 times).
+fn genesis(n: usize) -> Arc<Decision> {
+    thread_local! {
+        static LAST: RefCell<Option<Arc<Decision>>> = const { RefCell::new(None) };
+    }
+    LAST.with_borrow_mut(|last| match last {
+        Some(d) if d.n() == n => d.clone(),
+        _ => last.insert(Arc::new(Decision::genesis(n))).clone(),
+    })
+}
 
 /// A group member executing the urcgc protocol.
 pub struct Engine {
@@ -113,7 +128,7 @@ impl Engine {
             waiting: WaitingList::new(),
             history: History::new(n),
             flow,
-            last_decision: Arc::new(Decision::genesis(n)),
+            last_decision: genesis(n),
             last_decision_subrun: None,
             matrix: None,
             request_stash: Vec::new(),

@@ -212,8 +212,13 @@ fn run_node(args: Args) -> ExitCode {
     let opts = NodeOptions::default()
         .round_duration(Duration::from_millis(args.round_ms))
         .mtu(args.mtu);
-    let (mut handle, shutdown) =
-        spawn_member_on(socket, me, peers, cfg, opts).expect("spawn member");
+    let (mut handle, shutdown) = match spawn_member_on(socket, me, peers, cfg, opts) {
+        Ok(member) => member,
+        Err(e) => {
+            eprintln!("[p{}] failed to start: {e}", me.0);
+            return ExitCode::FAILURE;
+        }
+    };
 
     // Submit the whole budget up front; the engine paces one broadcast per
     // request round on its own.
@@ -316,8 +321,8 @@ fn orchestrate(args: Args) -> ExitCode {
     let exe = std::env::current_exe().expect("current_exe");
     let n = args.n;
     eprintln!(
-        "loopback-cluster: n={n} msgs={} drop={} dup={} delay={} seed={} budget={}s",
-        args.msgs, args.drop_p, args.dup_p, args.delay_p, args.seed, args.budget_secs
+        "loopback-cluster: n={n} msgs={} mtu={} drop={} dup={} delay={} seed={} budget={}s",
+        args.msgs, args.mtu, args.drop_p, args.dup_p, args.delay_p, args.seed, args.budget_secs
     );
 
     // Spawn one `node` child per member; children self-destruct a little
@@ -437,13 +442,18 @@ fn orchestrate(args: Args) -> ExitCode {
                 );
             }
             Ok((i, ChildLine::Report(doc))) => store_report(&mut reports, i, &doc),
-            Ok((i, ChildLine::Eof)) => eprintln!("child p{i} exited early"),
+            Ok((i, ChildLine::Eof)) if reports[i].is_none() => {
+                // It will neither quiesce nor report: the run has failed,
+                // and waiting out the budget would only say so later.
+                eprintln!("child p{i} exited without a report");
+                break;
+            }
             Ok(_) => {}
             Err(_) => break,
         }
     }
     if !quiesced.iter().all(|&q| q) {
-        eprintln!("budget expired before group quiescence; collecting reports anyway");
+        eprintln!("no group quiescence; collecting reports anyway");
     }
     for child in children.iter_mut() {
         if let Some(stdin) = child.stdin.as_mut() {

@@ -18,8 +18,10 @@
 //! same state machine the simulator drives — the whole point of the
 //! sans-I/O design. Around it:
 //!
-//! * [`frag`] fits engine frames into datagrams (MTU fragmentation and
-//!   timeout-evicting reassembly, on the transport codec's wire format);
+//! * [`frag`] fits engine frames into datagrams (MTU fragmentation, one
+//!   XOR parity datagram per multi-fragment frame so that a lost fragment
+//!   is rebuilt on arrival, and timeout-evicting reassembly, on the
+//!   transport codec's wire format);
 //! * [`proxy`] is a drop/duplicate/delay UDP middlebox for fault
 //!   injection *between* address spaces;
 //! * [`report`] defines the `urcgc-node/1` / `urcgc-cluster/1` documents

@@ -64,6 +64,8 @@ use urcgc::{
 };
 use urcgc_types::{DataMsg, GroupId, Mid, ProcessId, ProtocolConfig, Round};
 
+use urcgc_transport::{TFrame, DATA_HEADER_LEN};
+
 use crate::frag::{Fragmenter, Reassembler};
 
 /// Magic first byte of the startup-barrier hello (never a valid PDU tag or
@@ -80,6 +82,9 @@ const HELLO_LEN: usize = 3;
 const HELLO_BURST_EVERY: Duration = Duration::from_millis(40);
 /// Socket read timeout — bounds how long a dead member's receiver lingers.
 const READ_TIMEOUT: Duration = Duration::from_millis(25);
+/// The largest payload a UDP datagram carries over IPv4 (65 535 less the IP
+/// and UDP headers): `send_to` refuses anything longer with `EMSGSIZE`.
+const MAX_DATAGRAM: usize = 65_507;
 
 /// Tuning knobs for one node.
 #[derive(Clone, Debug)]
@@ -88,7 +93,8 @@ pub struct NodeOptions {
     /// network latency for the paper's synchronous-round assumption to
     /// hold (trivially true on localhost/LAN at the 5–20 ms defaults).
     pub round_duration: Duration,
-    /// Maximum datagram size; engine frames are fragmented to fit.
+    /// Maximum datagram size; engine frames are fragmented to fit. More
+    /// than the fragment header's 19 bytes, at most UDP's 65 507.
     pub mtu: usize,
     /// How long an incomplete fragment transfer is kept before eviction.
     pub reassembly_ttl: Duration,
@@ -196,13 +202,16 @@ impl From<io::Error> for GroupError {
 pub struct NetStats {
     /// Datagrams read off the socket (including hellos and injected loss).
     pub datagrams_rx: u64,
-    /// Datagrams written to the socket (fragments + hellos).
+    /// Datagrams the socket took (fragments, parities, hellos).
     pub datagrams_tx: u64,
     /// Bytes of the datagrams read off the socket (UDP payload, no IP/UDP
     /// headers).
     pub bytes_rx: u64,
-    /// Bytes of the datagrams written to the socket (UDP payload).
+    /// Bytes of the datagrams the socket took (UDP payload).
     pub bytes_tx: u64,
+    /// Datagrams `send_to` refused (full socket buffer, unreachable peer):
+    /// an omission on the sender's side, counted nowhere else.
+    pub send_failed: u64,
     /// Datagrams discarded by the Bernoulli loss injector.
     pub dropped_loss: u64,
     /// Always 0, kept because reports and the benchmark read it by name:
@@ -219,8 +228,13 @@ pub struct NetStats {
     /// dropped after the 9-byte header read, before any PDU decode (the
     /// genuineness counter).
     pub foreign_group_frames: u64,
-    /// Partial fragment transfers evicted on TTL.
+    /// Partial fragment transfers evicted on TTL (published once a round,
+    /// like `frames_repaired`).
     pub reassembly_evicted: u64,
+    /// Frames completed by rebuilding a lost (or late) fragment from the
+    /// transfer's parity datagram — each one a gap the engine did not have
+    /// to learn from a decision and ask a peer to fill.
+    pub frames_repaired: u64,
     /// Protocol rounds begun.
     pub rounds: u64,
 }
@@ -231,11 +245,13 @@ struct NetCounters {
     datagrams_tx: AtomicU64,
     bytes_rx: AtomicU64,
     bytes_tx: AtomicU64,
+    send_failed: AtomicU64,
     dropped_loss: AtomicU64,
     frames_rx: AtomicU64,
     malformed: AtomicU64,
     foreign_group_frames: AtomicU64,
     reassembly_evicted: AtomicU64,
+    frames_repaired: AtomicU64,
     rounds: AtomicU64,
 }
 
@@ -246,12 +262,14 @@ impl NetCounters {
             datagrams_tx: self.datagrams_tx.load(Ordering::Relaxed),
             bytes_rx: self.bytes_rx.load(Ordering::Relaxed),
             bytes_tx: self.bytes_tx.load(Ordering::Relaxed),
+            send_failed: self.send_failed.load(Ordering::Relaxed),
             dropped_loss: self.dropped_loss.load(Ordering::Relaxed),
             dropped_backpressure: 0,
             frames_rx: self.frames_rx.load(Ordering::Relaxed),
             malformed: self.malformed.load(Ordering::Relaxed),
             foreign_group_frames: self.foreign_group_frames.load(Ordering::Relaxed),
             reassembly_evicted: self.reassembly_evicted.load(Ordering::Relaxed),
+            frames_repaired: self.frames_repaired.load(Ordering::Relaxed),
             rounds: self.rounds.load(Ordering::Relaxed),
         }
     }
@@ -316,7 +334,10 @@ impl Shared {
     }
 
     fn send(&self, datagram: &[u8], to: SocketAddr) {
-        let _ = self.socket.send_to(datagram, to);
+        if self.socket.send_to(datagram, to).is_err() {
+            self.net.send_failed.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         self.net.datagrams_tx.fetch_add(1, Ordering::Relaxed);
         self.net
             .bytes_tx
@@ -395,6 +416,9 @@ impl Member {
         io.net
             .reassembly_evicted
             .store(self.reasm.evicted(), Ordering::Relaxed);
+        io.net
+            .frames_repaired
+            .store(self.reasm.repaired(), Ordering::Relaxed);
         if !self.flush(io) {
             return false;
         }
@@ -618,6 +642,13 @@ pub fn spawn_member_on(
             opts.loss
         )));
     }
+    if !(DATA_HEADER_LEN + 1..=MAX_DATAGRAM).contains(&opts.mtu) {
+        return Err(GroupError::Rejected(format!(
+            "mtu {} outside {}..={MAX_DATAGRAM} (fragment header + 1 byte ..= UDP's limit)",
+            opts.mtu,
+            DATA_HEADER_LEN + 1
+        )));
+    }
     let local_addr = socket.local_addr()?;
     socket.set_read_timeout(Some(READ_TIMEOUT))?;
 
@@ -694,10 +725,11 @@ fn parse_hello(buf: &[u8]) -> Option<(u8, ProcessId)> {
     }
 }
 
-/// Best-effort peek at the sender of an encoded fragment (barrier use).
+/// Best-effort peek at the sender of an encoded fragment or parity
+/// (barrier use).
 fn peek_src(buf: &[u8]) -> Option<ProcessId> {
-    match urcgc_transport::TFrame::decode(Bytes::copy_from_slice(buf)) {
-        Some(urcgc_transport::TFrame::Data { src, .. }) => Some(src),
+    match TFrame::decode(Bytes::copy_from_slice(buf)) {
+        Some(TFrame::Data { src, .. } | TFrame::Parity { src, .. }) => Some(src),
         _ => None,
     }
 }
@@ -870,6 +902,33 @@ mod tests {
         .err()
         .expect("must reject");
         assert!(matches!(err, GroupError::Rejected(_)), "{err}");
+        // An MTU the fragment header fills, or one UDP cannot carry. Both
+        // neighbours are fine.
+        for (mtu, ok) in [
+            (0, false),
+            (DATA_HEADER_LEN, false),
+            (DATA_HEADER_LEN + 1, true),
+            (MAX_DATAGRAM, true),
+            (MAX_DATAGRAM + 1, false),
+        ] {
+            let spawned = spawn_member(
+                ProcessId(0),
+                addr,
+                vec![addr; 3],
+                ProtocolConfig::new(3),
+                NodeOptions::default().mtu(mtu),
+            );
+            match spawned {
+                Ok((_, shutdown)) => {
+                    shutdown.shutdown();
+                    assert!(ok, "mtu {mtu} accepted");
+                }
+                Err(err) => {
+                    assert!(!ok, "mtu {mtu}: {err}");
+                    assert!(matches!(err, GroupError::Rejected(_)), "{err}");
+                }
+            }
+        }
     }
 
     #[test]

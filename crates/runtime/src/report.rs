@@ -183,12 +183,14 @@ impl NodeReport {
                 .with("datagrams_tx", self.net.datagrams_tx)
                 .with("bytes_rx", self.net.bytes_rx)
                 .with("bytes_tx", self.net.bytes_tx)
+                .with("send_failed", self.net.send_failed)
                 .with("dropped_loss", self.net.dropped_loss)
                 .with("dropped_backpressure", self.net.dropped_backpressure)
                 .with("frames_rx", self.net.frames_rx)
                 .with("malformed", self.net.malformed)
                 .with("foreign_group_frames", self.net.foreign_group_frames)
                 .with("reassembly_evicted", self.net.reassembly_evicted)
+                .with("frames_repaired", self.net.frames_repaired)
                 .with("rounds", self.net.rounds),
         );
         j.set("wall_secs", self.wall_secs);
@@ -219,6 +221,10 @@ impl NodeReport {
             // Absent in documents written before the byte counters.
             bytes_rx: get_u64(net_j, "bytes_rx").unwrap_or(0),
             bytes_tx: get_u64(net_j, "bytes_tx").unwrap_or(0),
+            // Absent in documents written before failed sends were told
+            // from sent ones, and before parity datagrams.
+            send_failed: get_u64(net_j, "send_failed").unwrap_or(0),
+            frames_repaired: get_u64(net_j, "frames_repaired").unwrap_or(0),
             dropped_loss: get_u64(net_j, "dropped_loss")?,
             dropped_backpressure: get_u64(net_j, "dropped_backpressure")?,
             frames_rx: get_u64(net_j, "frames_rx")?,
@@ -395,12 +401,14 @@ mod tests {
                 datagrams_tx: 900,
                 bytes_rx: 64_000,
                 bytes_tx: 57_600,
+                send_failed: 4,
                 dropped_loss: 50,
                 dropped_backpressure: 1,
                 frames_rx: 800,
                 malformed: 2,
                 foreign_group_frames: 0,
                 reassembly_evicted: 3,
+                frames_repaired: 17,
                 rounds: 500,
             },
             wall_secs: 1.5,

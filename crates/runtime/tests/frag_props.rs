@@ -1,9 +1,10 @@
 //! Property tests for datagram fragmentation/reassembly: arbitrary frames
 //! and MTUs, with the adversary permuting, duplicating, and dropping
-//! fragments. The invariants mirror what the runtime needs from
-//! [`urcgc_runtime::frag`]: a transfer completes exactly once iff every
-//! fragment arrives, completes byte-identically, and incomplete transfers
-//! die by TTL instead of pinning memory.
+//! datagrams. The invariants mirror what the runtime needs from
+//! [`urcgc_runtime::frag`]: a transfer completes exactly once,
+//! byte-identically, iff at most one of its datagrams (fragments and
+//! parity) is lost; what arrives after that is dropped without a trace;
+//! and a transfer that lost two dies by TTL instead of pinning memory.
 
 use std::time::Duration;
 
@@ -38,73 +39,135 @@ fn permute<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
         .collect()
 }
 
+/// Adversarial schedule: every datagram at least once, every
+/// `dup_every`-th twice, in a seed-chosen order.
+fn schedule(grams: &[Bytes], seed: u64, dup_every: usize) -> Vec<Bytes> {
+    let mut all = grams.to_vec();
+    all.extend(grams.iter().step_by(dup_every).cloned());
+    permute(&all, seed)
+}
+
+/// A frame of `frags` fragments at `payload_mtu` bytes each: exactly full,
+/// or with a last fragment of `1..=payload_mtu` bytes chosen by `tail`.
+fn frame(
+    payload_mtu: usize,
+    frags: usize,
+    exact: bool,
+    tail: prop::sample::Index,
+    seed: u64,
+) -> Bytes {
+    let last = if exact {
+        payload_mtu
+    } else {
+        1 + tail.index(payload_mtu)
+    };
+    let len = (frags - 1) * payload_mtu + last;
+    (0..len as u64)
+        .map(|i| (seed ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15).to_le_bytes()[7])
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 64,
         ..ProptestConfig::default()
     })]
 
-    /// Shuffling and duplicating fragments never corrupts the frame: every
-    /// completion is byte-identical. (A fully duplicated fragment set may
-    /// complete twice — deduplication is the engine's job, at PDU level.)
+    /// Shuffling and duplicating datagrams never corrupts the frame, and a
+    /// transfer of two fragments or more completes exactly once: its
+    /// replayed datagrams are dropped against the finished-transfer memory
+    /// and open nothing. (A single-fragment transfer completes once per
+    /// copy — deduplication is the engine's job, at PDU level.)
     #[test]
     fn roundtrip_survives_reorder_and_duplication(
-        data in prop::collection::vec(any::<u8>(), 1..2048),
-        mtu in (DATA_HEADER_LEN + 1)..(DATA_HEADER_LEN + 257),
+        payload_mtu in 1usize..257,
+        frags in 1usize..7,
+        exact in any::<bool>(),
+        tail in any::<prop::sample::Index>(),
         seed in any::<u64>(),
         dup_every in 1usize..5,
     ) {
-        let frame = Bytes::from(data);
+        let mtu = DATA_HEADER_LEN + payload_mtu;
+        let frame = frame(payload_mtu, frags, exact, tail, seed);
         let mut tx = Fragmenter::new(ProcessId(4), mtu);
         let mut rx = Reassembler::new(TTL);
         let grams = tx.split(&frame);
-        prop_assert!(!grams.is_empty());
+        prop_assert_eq!(grams.len(), if frags == 1 { 1 } else { frags + 1 });
         prop_assert!(grams.iter().all(|g| g.len() <= mtu));
 
-        // Adversarial schedule: every fragment at least once, some twice,
-        // in a seed-chosen order.
-        let mut schedule: Vec<Bytes> = grams.clone();
-        schedule.extend(grams.iter().step_by(dup_every).cloned());
-        let schedule = permute(&schedule, seed);
-
+        let arrivals = schedule(&grams, seed, dup_every);
+        let copies = arrivals.len();
         let mut completions = Vec::new();
-        for g in schedule {
-            if let Some(done) = rx.accept(g, Duration::ZERO) {
-                completions.push(done);
-            }
+        for g in arrivals {
+            completions.extend(rx.accept(g, Duration::ZERO));
         }
-        prop_assert!(!completions.is_empty(), "the full set never completed");
+        prop_assert_eq!(completions.len(), if frags == 1 { copies } else { 1 });
         for (src, got) in completions {
             prop_assert_eq!(src, ProcessId(4));
             prop_assert_eq!(got, frame.clone());
         }
-        // Duplicates arriving after completion may open a ghost partial;
-        // it must be evictable, never completable.
-        prop_assert!(rx.evict_expired(TTL + TTL) as u64 == rx.evicted());
-        prop_assert_eq!(rx.partials(), 0);
+        prop_assert_eq!((rx.partials(), rx.malformed()), (0, 0));
+        prop_assert_eq!(rx.evict_expired(TTL + TTL), 0);
     }
 
-    /// Losing any single fragment of a multi-fragment transfer prevents
-    /// completion; the TTL then reclaims the partial.
+    /// Losing any one datagram of a multi-fragment transfer — each
+    /// fragment in turn, or the parity — loses nothing: the frame
+    /// reassembles identically, nothing stays buffered, and every datagram
+    /// replayed afterwards is inert.
     #[test]
-    fn dropped_fragment_blocks_completion_until_eviction(
-        data in prop::collection::vec(any::<u8>(), 1..2048),
-        mtu in (DATA_HEADER_LEN + 1)..(DATA_HEADER_LEN + 257),
+    fn any_one_lost_datagram_is_rebuilt(
+        payload_mtu in 1usize..257,
+        frags in 2usize..7,
+        exact in any::<bool>(),
+        tail in any::<prop::sample::Index>(),
         seed in any::<u64>(),
-        drop_choice in any::<prop::sample::Index>(),
+        dup_every in 1usize..5,
     ) {
-        let frame = Bytes::from(data);
-        let mut tx = Fragmenter::new(ProcessId(0), mtu);
+        let frame = frame(payload_mtu, frags, exact, tail, seed);
+        let mut tx = Fragmenter::new(ProcessId(0), DATA_HEADER_LEN + payload_mtu);
+        let grams = tx.split(&frame);
+        for lost in 0..grams.len() {
+            let mut rx = Reassembler::new(TTL);
+            let mut kept = grams.clone();
+            kept.remove(lost);
+            let mut completions = Vec::new();
+            for g in schedule(&kept, seed ^ lost as u64, dup_every) {
+                completions.extend(rx.accept(g, Duration::ZERO));
+            }
+            prop_assert_eq!(&completions, &vec![(ProcessId(0), frame.clone())], "lost {}", lost);
+            // A lost fragment can only have come back through the parity.
+            let parity_lost = lost == frags;
+            prop_assert_eq!(rx.repaired(), u64::from(!parity_lost), "lost {}", lost);
+            for g in &grams {
+                prop_assert!(rx.accept(g.clone(), Duration::ZERO).is_none(), "replay completed");
+            }
+            prop_assert_eq!((rx.partials(), rx.malformed()), (0, 0));
+            prop_assert_eq!(rx.evict_expired(TTL + TTL), 0);
+        }
+    }
+
+    /// Losing any two datagrams of a transfer prevents completion; the TTL
+    /// then reclaims the partial, once, and a straggler cannot complete
+    /// what was evicted.
+    #[test]
+    fn two_lost_datagrams_block_completion_until_eviction(
+        payload_mtu in 1usize..257,
+        frags in 2usize..7,
+        exact in any::<bool>(),
+        tail in any::<prop::sample::Index>(),
+        seed in any::<u64>(),
+        dup_every in 1usize..5,
+        first in any::<prop::sample::Index>(),
+        second in any::<prop::sample::Index>(),
+    ) {
+        let frame = frame(payload_mtu, frags, exact, tail, seed);
+        let mut tx = Fragmenter::new(ProcessId(0), DATA_HEADER_LEN + payload_mtu);
         let mut rx = Reassembler::new(TTL);
         let mut grams = tx.split(&frame);
-        if grams.len() < 2 {
-            // Single-datagram transfers have nothing to lose; skip.
-            return Ok(());
-        }
+        let straggler = grams.remove(first.index(grams.len()));
+        grams.remove(second.index(grams.len()));
 
-        let dropped = drop_choice.index(grams.len());
-        grams.remove(dropped);
-        for g in permute(&grams, seed) {
+        for g in schedule(&grams, seed, dup_every) {
             prop_assert!(rx.accept(g, Duration::ZERO).is_none(), "incomplete transfer completed");
         }
         prop_assert_eq!(rx.partials(), 1);
@@ -112,8 +175,9 @@ proptest! {
         // Before the TTL: still buffered. At the TTL: reclaimed.
         prop_assert_eq!(rx.evict_expired(TTL / 2), 0);
         prop_assert_eq!(rx.evict_expired(TTL), 1);
-        prop_assert_eq!(rx.partials(), 0);
-        prop_assert_eq!(rx.evicted(), 1);
+        prop_assert_eq!((rx.partials(), rx.evicted()), (0, 1));
+        prop_assert!(rx.accept(straggler, TTL).is_none(), "evicted transfer completed");
+        prop_assert_eq!((rx.repaired(), rx.malformed()), (0, 0));
     }
 
     /// Transfers from many senders interleaved in one arbitrary order all
@@ -146,4 +210,34 @@ proptest! {
         prop_assert_eq!(rx.partials(), 0);
         prop_assert_eq!(rx.malformed(), 0);
     }
+}
+
+/// The finished-transfer memory is a constant: 256 keys, oldest out first,
+/// however many transfers finish.
+#[test]
+fn the_finished_memory_holds_the_last_256_transfers() {
+    let mut tx = Fragmenter::new(ProcessId(1), DATA_HEADER_LEN + 8);
+    let mut rx = Reassembler::new(TTL);
+    let frame = Bytes::from_static(b"twelve bytes");
+    let finish = |grams: Vec<Bytes>, rx: &mut Reassembler| -> usize {
+        grams
+            .into_iter()
+            .filter_map(|gram| rx.accept(gram, Duration::ZERO))
+            .count()
+    };
+    let oldest = tx.split(&frame);
+    assert_eq!(finish(oldest.clone(), &mut rx), 1);
+    assert_eq!(
+        finish(oldest.clone(), &mut rx),
+        0,
+        "remembered: the replay is inert"
+    );
+    for done in 2..=300 {
+        assert_eq!(finish(tx.split(&frame), &mut rx), 1);
+        assert_eq!(rx.remembered(), done.min(256));
+    }
+    assert_eq!(rx.partials(), 0);
+    // Forgotten by now: the replay is a transfer like any other.
+    assert_eq!(finish(oldest, &mut rx), 1);
+    assert_eq!(rx.remembered(), 256);
 }

@@ -162,6 +162,9 @@ impl TransportEntity {
             return;
         };
         match frame {
+            // The t-service repairs loss by retransmission; parity is the
+            // UDP runtime's.
+            TFrame::Parity { .. } => {}
             TFrame::Batch { frames } => {
                 // Decode rejects nested batches, so this recurses once.
                 for inner in frames {
