@@ -9,9 +9,8 @@
 //! * [`Clock`] abstracts a monotonic time source ([`WallClock`] for
 //!   deployments, [`ManualClock`] for deterministic tests);
 //! * [`RoundPacer`] maps elapsed wall-clock time onto the engine's round
-//!   counter — including burst catch-up after a stall (a descheduled
-//!   process owes every missed `begin_round`, because the recovery and
-//!   failure-detection machinery count rounds, not seconds) and
+//!   counter — including a bounded catch-up after a stall (a descheduled
+//!   process owes at most one subrun, then re-anchors its cadence) and
 //!   fast-forward when the group's decision stream shows the local round
 //!   clock is behind;
 //! * [`Deadlines`] is a tiny deadline table for timer-per-key state such
@@ -91,12 +90,18 @@ impl Clock for ManualClock {
 
 /// Maps wall-clock time onto the engine's round counter.
 ///
-/// The contract mirrors the simulator's: rounds are consecutive, every
-/// round is begun exactly once, and a process that falls behind (GC pause,
-/// descheduling, slow peer handling) *bursts* through the rounds it owes
-/// rather than silently stretching them — `K`-subrun failure detection and
-/// retransmission cadence are counted in rounds, so dropping rounds would
-/// dilate every protocol timeout.
+/// Rounds are consecutive and every round number is begun exactly once. A
+/// process that falls behind by less than two periods (slow peer handling,
+/// a short deschedule) catches up back to back, so the cadence does not
+/// drift. A longer stall (GC pause, `SIGSTOP`, an overloaded host) owes at
+/// most one subrun — two rounds back to back — and then the cadence is
+/// re-anchored at the time of the poll: the rounds the process slept
+/// through are [skipped](RoundPacer::skipped), not replayed. Replaying
+/// them would run `K` subruns' worth of coordinator rounds with no request
+/// exchanged, and `K`-subrun failure detection would expel healthy
+/// members for the scheduler's sake. A round slept through charges nothing
+/// locally; the next adopted decision tells the process which round the
+/// group is in.
 ///
 /// [`fast_forward`](RoundPacer::fast_forward) additionally lets a runtime
 /// adopt the group's subrun clock: independently started OS processes boot
@@ -109,6 +114,8 @@ pub struct RoundPacer {
     next: u64,
     /// Wall-clock deadline at which `next` becomes due.
     due: Duration,
+    /// Rounds dropped by re-anchoring after stalls.
+    skipped: u64,
 }
 
 impl RoundPacer {
@@ -119,6 +126,7 @@ impl RoundPacer {
             period,
             next: 0,
             due: now + period,
+            skipped: 0,
         }
     }
 
@@ -133,17 +141,27 @@ impl RoundPacer {
     }
 
     /// Returns the next due round, or `None` if no round is due at `now`.
-    /// Call in a loop: after a stall of any length every owed round is
-    /// handed out, back to back, before the cadence resumes — the burst is
-    /// not bounded and the cadence is not re-anchored.
+    /// Call in a loop: at most two rounds are handed out back to back. When
+    /// more than two are owed, the excess is counted as skipped and the
+    /// round after the second is due one period after `now`.
     pub fn poll(&mut self, now: Duration) -> Option<Round> {
         if now < self.due {
             return None;
+        }
+        let owed = (now - self.due).as_nanos() / self.period.as_nanos() + 1;
+        if owed > 2 {
+            self.skipped += (owed - 2) as u64;
+            self.due = now - self.period;
         }
         let round = Round(self.next);
         self.next += 1;
         self.due += self.period;
         Some(round)
+    }
+
+    /// Rounds dropped so far by re-anchoring after stalls.
+    pub fn skipped(&self) -> u64 {
+        self.skipped
     }
 
     /// How long until the next round is due (zero if already due).
@@ -239,16 +257,37 @@ mod tests {
     }
 
     #[test]
-    fn pacer_bursts_through_owed_rounds() {
+    fn pacer_owes_at_most_one_subrun_after_a_stall() {
         let mut p = RoundPacer::new(Duration::ZERO, 10 * MS);
-        // A 55 ms stall owes rounds 0..=4.
+        // A 55 ms stall would owe rounds 0..=4: two are handed out back to
+        // back, the other three are skipped, and the cadence restarts.
         let now = 55 * MS;
         let mut got = Vec::new();
         while let Some(r) = p.poll(now) {
             got.push(r.0);
         }
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
+        assert_eq!(got, vec![0, 1]);
+        assert_eq!(p.skipped(), 3);
+        assert_eq!(p.poll(64 * MS), None, "re-anchored at the poll");
+        assert_eq!(p.until_due(60 * MS), 5 * MS);
+        assert_eq!(p.poll(65 * MS), Some(Round(2)));
+        assert_eq!(p.poll(75 * MS), Some(Round(3)));
+    }
+
+    #[test]
+    fn pacer_keeps_its_cadence_through_a_stall_under_two_periods() {
+        let mut p = RoundPacer::new(Duration::ZERO, 10 * MS);
+        assert_eq!(p.poll(10 * MS), Some(Round(0)));
+        // 9 ms late: round 1 only, and round 2 keeps its original slot.
+        assert_eq!(p.poll(29 * MS), Some(Round(1)));
+        assert_eq!(p.poll(29 * MS), None);
+        assert_eq!(p.poll(30 * MS), Some(Round(2)));
+        // 15 ms late: rounds 3 and 4 back to back, nothing skipped.
+        assert_eq!(p.poll(55 * MS), Some(Round(3)));
+        assert_eq!(p.poll(55 * MS), Some(Round(4)));
+        assert_eq!(p.poll(55 * MS), None);
         assert_eq!(p.poll(60 * MS), Some(Round(5)));
+        assert_eq!(p.skipped(), 0);
     }
 
     #[test]

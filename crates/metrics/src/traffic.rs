@@ -34,11 +34,23 @@ impl TrafficMeter {
         Self::default()
     }
 
-    /// Records one message of `size` bytes under `category`.
+    /// Records one message of `size` bytes under `category`. Only the first
+    /// message of a category allocates its key.
     pub fn record(&mut self, category: &str, size: usize) {
-        let t = self.tallies.entry(category.to_owned()).or_default();
-        t.count += 1;
-        t.bytes += size as u64;
+        let size = size as u64;
+        match self.tallies.get_mut(category) {
+            Some(t) => {
+                t.count += 1;
+                t.bytes += size;
+            }
+            None => {
+                let first = Tally {
+                    count: 1,
+                    bytes: size,
+                };
+                self.tallies.insert(category.to_owned(), first);
+            }
+        }
     }
 
     /// The tally for `category` (zero if never recorded).

@@ -13,7 +13,10 @@
 //! are silent.
 //!
 //! This is the real-network CI gate: real sockets, real OS scheduling,
-//! real loss between address spaces.
+//! real loss between address spaces. With `--stall-ms D` the orchestrator
+//! also freezes the whole group once the run is under way: every member
+//! process gets `SIGSTOP`, and `SIGCONT` D ms later (through `kill(1)`) —
+//! the host stall a member must survive at the default `K`.
 //!
 //! ```text
 //! loopback-cluster --n 3 --msgs 10 --drop 0.05 --dup 0.02 --delay 0.05 \
@@ -68,6 +71,8 @@ OPTIONS:
   --max-delay-ms MS   proxy max hold-back (default 10)
   --seed S            fault-plan seed (default 1)
   --budget-secs S     wall-clock budget for quiescence (default 60)
+  --stall-ms D        freeze every member process for D ms once the run is
+                      under way (SIGSTOP, then SIGCONT; default 0 = never)
   --json PATH         write the urcgc-cluster/1 document here
   --help              print this help
 
@@ -88,6 +93,7 @@ struct Args {
     max_delay_ms: u64,
     seed: u64,
     budget_secs: u64,
+    stall_ms: u64,
     json: Option<String>,
     // node-mode only
     me: usize,
@@ -107,6 +113,7 @@ impl Default for Args {
             max_delay_ms: 10,
             seed: 1,
             budget_secs: 60,
+            stall_ms: 0,
             json: None,
             me: 0,
         }
@@ -139,6 +146,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--max-delay-ms" => args.max_delay_ms = num!(),
             "--seed" => args.seed = num!(),
             "--budget-secs" => args.budget_secs = num!(),
+            "--stall-ms" => args.stall_ms = num!(),
             "--me" => args.me = num!(),
             "--json" => args.json = Some(value()?.to_string()),
             "--help" | "-h" => return Err(HELP.to_string()),
@@ -321,8 +329,16 @@ fn orchestrate(args: Args) -> ExitCode {
     let exe = std::env::current_exe().expect("current_exe");
     let n = args.n;
     eprintln!(
-        "loopback-cluster: n={n} msgs={} mtu={} drop={} dup={} delay={} seed={} budget={}s",
-        args.msgs, args.mtu, args.drop_p, args.dup_p, args.delay_p, args.seed, args.budget_secs
+        "loopback-cluster: n={n} msgs={} mtu={} drop={} dup={} delay={} seed={} budget={}s \
+         stall={}ms",
+        args.msgs,
+        args.mtu,
+        args.drop_p,
+        args.dup_p,
+        args.delay_p,
+        args.seed,
+        args.budget_secs,
+        args.stall_ms
     );
 
     // Spawn one `node` child per member; children self-destruct a little
@@ -422,6 +438,11 @@ fn orchestrate(args: Args) -> ExitCode {
         writeln!(stdin, "peers {}", list.join(" ")).expect("send peers");
         stdin.flush().ok();
     }
+    if args.stall_ms > 0 {
+        // Twenty rounds in: past the startup barrier, workload in flight.
+        std::thread::sleep(Duration::from_millis(20 * args.round_ms));
+        stall(&children, Duration::from_millis(args.stall_ms));
+    }
 
     // Phase 3: wait for group-wide quiescence, then tell everyone to exit.
     // (A member must keep serving after its own quiescence — peers may
@@ -509,7 +530,8 @@ fn orchestrate(args: Args) -> ExitCode {
             .with("delay_p", args.delay_p)
             .with("max_delay_ms", args.max_delay_ms)
             .with("seed", args.seed)
-            .with("budget_secs", args.budget_secs),
+            .with("budget_secs", args.budget_secs)
+            .with("stall_ms", args.stall_ms),
         nodes: reports.iter().flatten().cloned().collect(),
         violations,
         proxy: proxy.stats(),
@@ -544,6 +566,22 @@ fn orchestrate(args: Args) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
+}
+
+/// Freezes every child process for `d`: `SIGSTOP` to all of them, then
+/// `SIGCONT` to all of them.
+fn stall(children: &[Child], d: Duration) {
+    let pids: Vec<String> = children.iter().map(|c| c.id().to_string()).collect();
+    let signal = |sig: &str| {
+        let sent = Command::new("kill").arg(sig).args(&pids).status();
+        if !sent.as_ref().is_ok_and(|s| s.success()) {
+            eprintln!("kill {sig} failed: {sent:?}");
+        }
+    };
+    eprintln!("stalling {} members for {d:?}", pids.len());
+    signal("-STOP");
+    std::thread::sleep(d);
+    signal("-CONT");
 }
 
 fn store_report(reports: &mut [Option<NodeReport>], i: usize, doc: &str) {

@@ -2,6 +2,7 @@
 //! whoever calls the handle.
 //!
 //! ```text
+//!                            barrier release → start the round clock
 //!             ┌────────────┐ accept → on_frame → fast-forward → flush
 //!  socket ───▶│  receiver  │─────────────────┐
 //!             │ (barrier,  │                 ▼
@@ -9,8 +10,8 @@
 //!             └────────────┘        │ Mutex<Option<    │──▶ socket
 //!             ┌────────────┐        │   Member>>       │
 //!             │   ticker   │───────▶│ (Node, Fragmenter│──▶ AppEvent
-//!             └────────────┘ begin_ │  Reassembler,    │    channel
-//!                            round →│  round counter)  │
+//!             └────────────┘ poll → │  Reassembler,    │    channel
+//!                       begin_round │  round clock)    │
 //!             ProcessHandle ───────▶└──────────────────┘
 //!              submit → flush · with_engine · kill
 //! ```
@@ -21,15 +22,18 @@
 //! application channel before letting go.
 //!
 //! * The **receiver** thread runs the startup barrier (hello exchange),
-//!   then for every datagram it reads — after the optional Bernoulli loss
-//!   injector — reassembles, hands the frame to the [`Engine`], adopts the
-//!   group's round clock from the decision it may have carried, and
-//!   flushes. A delivery is on the application channel when the
-//!   `recv_from` that carried its last fragment returns to its loop.
-//! * The **ticker** thread replaces the simulator's round clock: when a
-//!   round falls due ([`RoundPacer`], with burst catch-up after stalls) it
-//!   begins it, evicts stale partial transfers, flushes, and ends the
-//!   member if the engine has left the group.
+//!   and when it releases starts the member's round clock and begins the
+//!   first round at once. Then for every datagram it reads — after the
+//!   optional Bernoulli loss injector — it reassembles, hands the frame to
+//!   the [`Engine`], fast-forwards the round clock to the decision the
+//!   frame may have carried, and flushes. A delivery is on the application
+//!   channel when the `recv_from` that carried its last fragment returns to
+//!   its loop.
+//! * The **ticker** thread replaces the simulator's round clock: when the
+//!   member's [`RoundPacer`] says a round is due it begins it, evicts stale
+//!   partial transfers, flushes, and ends the member if the engine has left
+//!   the group. After a stall the pacer owes at most one subrun and then
+//!   re-anchors its cadence; the rounds slept through are skipped.
 //! * [`ProcessHandle::submit`] runs `Node::submit` and the flush on the
 //!   caller's thread — a submission that finds its round's slot free is on
 //!   the wire (all n − 1 `send_to`s) when the call returns. Queries read
@@ -237,6 +241,9 @@ pub struct NetStats {
     pub frames_repaired: u64,
     /// Protocol rounds begun.
     pub rounds: u64,
+    /// Rounds the round clock skipped after stalls instead of running them
+    /// back to back ([`RoundPacer::skipped`]).
+    pub rounds_skipped: u64,
 }
 
 #[derive(Default)]
@@ -253,6 +260,7 @@ struct NetCounters {
     reassembly_evicted: AtomicU64,
     frames_repaired: AtomicU64,
     rounds: AtomicU64,
+    rounds_skipped: AtomicU64,
 }
 
 impl NetCounters {
@@ -271,6 +279,7 @@ impl NetCounters {
             reassembly_evicted: self.reassembly_evicted.load(Ordering::Relaxed),
             frames_repaired: self.frames_repaired.load(Ordering::Relaxed),
             rounds: self.rounds.load(Ordering::Relaxed),
+            rounds_skipped: self.rounds_skipped.load(Ordering::Relaxed),
         }
     }
 }
@@ -295,10 +304,9 @@ struct Member {
     node: Node,
     frag: Fragmenter,
     reasm: Reassembler,
-    /// The next round to begin (fast-forwarded by received decisions).
-    round: u64,
-    /// The round clock is held until the startup barrier completes.
-    barrier_done: bool,
+    /// The round clock: `None` while the startup barrier holds, then the
+    /// one round counter, fast-forwarded by adopted decisions.
+    pacer: Option<RoundPacer>,
     evt_tx: Sender<AppEvent>,
 }
 
@@ -387,9 +395,56 @@ impl Member {
         // Decisions carry the group's subrun clock; a process that is
         // behind fast-forwards so its requests land in the subrun the rest
         // of the group is actually running.
-        let group_subrun = self.engine(io).last_decision().subrun.0;
-        self.round = self.round.max(2 * (group_subrun + 1));
+        let group_round = self.group_round(io);
+        if let Some(pacer) = self.pacer.as_mut() {
+            pacer.fast_forward(group_round);
+        }
         self.flush(io)
+    }
+
+    /// The first round of the subrun after the last adopted decision's.
+    fn group_round(&self, io: &Shared) -> Round {
+        Round(2 * (self.engine(io).last_decision().subrun.0 + 1))
+    }
+
+    /// The startup barrier released: start the round clock and begin the
+    /// first round now, so the next one is a period away. That round is 0,
+    /// or — for a member that adopted decisions inside the barrier — the
+    /// round those put the group in.
+    fn start_clock(&mut self, io: &Shared) -> bool {
+        let mut pacer = RoundPacer::new(io.clock.now(), io.opts.round_duration);
+        let first = match self.engine(io).last_decision().subrun.0 {
+            0 => Round(0),
+            _ => self.group_round(io),
+        };
+        pacer.fast_forward(first.next());
+        self.pacer = Some(pacer);
+        self.begin(io, first)
+    }
+
+    /// Begins the round the clock says is due, if one is; otherwise sets
+    /// `wait` to how long until it is.
+    fn on_tick(&mut self, io: &Shared, wait: &mut Duration) -> bool {
+        let Some(pacer) = self.pacer.as_mut() else {
+            // Inside the barrier. The receiver will start the clock and
+            // begin round 0; round 1 is due a period after that, so a
+            // period's sleep from now never oversleeps it.
+            *wait = io.opts.round_duration;
+            return true;
+        };
+        let now = io.clock.now();
+        match pacer.poll(now) {
+            Some(round) => {
+                io.net
+                    .rounds_skipped
+                    .store(pacer.skipped(), Ordering::Relaxed);
+                self.begin(io, round)
+            }
+            None => {
+                *wait = pacer.until_due(now);
+                true
+            }
+        }
     }
 
     /// Publishes the reject counters. Reassembler and node count
@@ -403,14 +458,10 @@ impl Member {
             .store(self.node.foreign_frames(), Ordering::Relaxed);
     }
 
-    /// The round that fell due: begin it, evict stale partial transfers,
-    /// flush, and end the member once its engine has left the group.
-    fn on_round(&mut self, io: &Shared) -> bool {
-        if !self.barrier_done {
-            return true; // hold the round clock until the group exists
-        }
-        self.node.begin_round(Round(self.round));
-        self.round += 1;
+    /// Begins `round`, evicts stale partial transfers, flushes, and ends
+    /// the member once its engine has left the group.
+    fn begin(&mut self, io: &Shared, round: Round) -> bool {
+        self.node.begin_round(round);
         io.net.rounds.fetch_add(1, Ordering::Relaxed);
         self.reasm.evict_expired(io.clock.now());
         io.net
@@ -610,10 +661,10 @@ impl GroupShutdown {
 /// dialed. Sender identity travels inside the fragment header, so the
 /// entries may point at address-rewriting proxies.
 ///
-/// Members may start at different times: the startup barrier holds the
-/// round clock until every peer has been heard from (or its deadline
-/// passes), and a late starter fast-forwards its round clock from the
-/// first decision it receives.
+/// Members may start at different times: the round clock starts when the
+/// startup barrier releases — every peer has been heard from, or the
+/// barrier's deadline passed — and a late starter fast-forwards it from
+/// the decisions it receives.
 pub fn spawn_member_on(
     socket: UdpSocket,
     me: ProcessId,
@@ -657,8 +708,7 @@ pub fn spawn_member_on(
         node: Node::single(me, opts.group, cfg),
         frag: Fragmenter::new(me, opts.mtu),
         reasm: Reassembler::new(opts.reassembly_ttl),
-        round: 0,
-        barrier_done: false,
+        pacer: None,
         evt_tx,
     };
     let shared = Arc::new(Shared {
@@ -795,8 +845,7 @@ fn receiver_loop(io: &Shared) {
     // our earlier hellos raced their bind().
     let released = io.step(|member, io| {
         io.hello_burst();
-        member.barrier_done = true;
-        true
+        member.start_clock(io)
     });
     if !released {
         return;
@@ -833,31 +882,26 @@ fn receiver_loop(io: &Shared) {
     }
 }
 
+/// A read that returned no datagram and no fault: it timed out, or — on
+/// Linux, a timed `recv_from` in a process stopped (`SIGSTOP`) and resumed
+/// (`SIGCONT`) fails with `EINTR` — it was interrupted.
 fn would_block(e: &io::Error) -> bool {
     matches!(
         e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
     )
 }
 
-/// Begins each round as it falls due, bursting through every owed round
-/// after a stall ([`RoundPacer`]).
+/// Begins each round as the member's round clock says it is due.
 fn ticker_loop(io: &Shared) {
-    let mut pacer = RoundPacer::new(io.clock.now(), io.opts.round_duration);
     loop {
-        if pacer.poll(io.clock.now()).is_some() {
-            if !io.step(Member::on_round) {
-                return;
-            }
-            continue;
-        }
-        if io.is_dead() {
+        let mut wait = Duration::ZERO;
+        if !io.step(|member, io| member.on_tick(io, &mut wait)) {
             return;
         }
-        let wait = pacer
-            .until_due(io.clock.now())
-            .clamp(Duration::from_micros(200), Duration::from_millis(50));
-        thread::sleep(wait);
+        if !wait.is_zero() {
+            thread::sleep(wait.clamp(Duration::from_micros(200), Duration::from_millis(50)));
+        }
     }
 }
 

@@ -191,7 +191,8 @@ impl NodeReport {
                 .with("foreign_group_frames", self.net.foreign_group_frames)
                 .with("reassembly_evicted", self.net.reassembly_evicted)
                 .with("frames_repaired", self.net.frames_repaired)
-                .with("rounds", self.net.rounds),
+                .with("rounds", self.net.rounds)
+                .with("rounds_skipped", self.net.rounds_skipped),
         );
         j.set("wall_secs", self.wall_secs);
         j
@@ -233,6 +234,9 @@ impl NodeReport {
             foreign_group_frames: get_u64(net_j, "foreign_group_frames").unwrap_or(0),
             reassembly_evicted: get_u64(net_j, "reassembly_evicted")?,
             rounds: get_u64(net_j, "rounds")?,
+            // Absent in documents written before the round clock skipped
+            // the rounds a stall slept through.
+            rounds_skipped: get_u64(net_j, "rounds_skipped").unwrap_or(0),
         };
         Ok(NodeReport {
             me: get_u64(j, "me")? as u16,
@@ -410,6 +414,7 @@ mod tests {
                 reassembly_evicted: 3,
                 frames_repaired: 17,
                 rounds: 500,
+                rounds_skipped: 6,
             },
             wall_secs: 1.5,
         };

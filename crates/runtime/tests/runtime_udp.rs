@@ -6,7 +6,7 @@
 use std::collections::{HashMap, HashSet};
 use std::net::UdpSocket;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Barrier};
+use std::sync::{mpsc, Barrier, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -253,8 +253,8 @@ fn status_snapshot_and_stats_read_the_live_engine() {
     assert_eq!(stats.processed, 1);
 
     // The runtime's own counters moved too: rounds ticked, datagrams flowed.
-    // (Member 0 can deliver before its own first round: a tick that fires
-    // inside the startup barrier is dropped, the next is a period away.)
+    // (Member 0 can deliver before its own first round: that round begins
+    // when its startup barrier releases, and a peer's may release first.)
     let deadline = Instant::now() + Duration::from_secs(5);
     while group.handle(0).net_stats().rounds == 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(1));
@@ -713,4 +713,164 @@ fn a_sender_id_outside_the_group_costs_one_malformed_frame() {
     assert_eq!(handle.net_stats().malformed, before + 1);
     drop(handle);
     shutdown.shutdown();
+}
+
+/// Taken by the tests that stall whole groups or time a delivery, so that
+/// they do not share the machine with each other: a member that another
+/// test's group keeps off the processor for two subruns is, to its peers,
+/// a crashed member.
+static WALL_CLOCK: Mutex<()> = Mutex::new(());
+
+fn wall_clock() -> MutexGuard<'static, ()> {
+    WALL_CLOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Freezes the members `which` together for `d`, each by a thread holding
+/// its lock — nothing of theirs runs meanwhile, as on a stalled host. The
+/// threads reach for the locks together and sleep once all are held, so
+/// no member runs while another is frozen.
+fn freeze(handles: &[ProcessHandle], which: &[usize], d: Duration) {
+    let (reach, hold) = (Barrier::new(which.len()), Barrier::new(which.len()));
+    std::thread::scope(|s| {
+        for &m in which {
+            let (h, reach, hold) = (&handles[m], &reach, &hold);
+            s.spawn(move || {
+                reach.wait();
+                h.with_engine(|_| {
+                    hold.wait();
+                    std::thread::sleep(d);
+                })
+                .unwrap()
+            });
+        }
+    });
+}
+
+/// Submits `count` messages round-robin over `senders`; every member in
+/// `senders` must then deliver exactly those, in one per-origin order.
+fn all_deliver(handles: &mut [ProcessHandle], senders: &[usize], count: usize, what: &str) {
+    let n = handles.len();
+    let mut expected = HashSet::new();
+    for k in 0..count {
+        let m = senders[k % senders.len()];
+        let mid = handles[m]
+            .submit(Bytes::from(vec![k as u8; 16]), vec![])
+            .unwrap_or_else(|e| panic!("{what}: member {m} refused a submit: {e}"));
+        expected.insert(mid);
+    }
+    let mut digests = Vec::new();
+    for &m in senders {
+        let got = drain_until(&mut handles[m], count, 15);
+        let set: HashSet<Mid> = got.iter().copied().collect();
+        assert_eq!(set, expected, "{what}: member {m} delivered {}", got.len());
+        digests.push(order_digests(n, &got));
+    }
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "{what}: members disagree on per-origin order: {digests:x?}"
+    );
+}
+
+#[test]
+fn a_group_frozen_as_a_whole_survives_at_the_default_k() {
+    let _turn = wall_clock();
+    // K = 3 at 5 ms rounds: even the shortest freeze is ten subruns. A
+    // member that ran every round it slept through back to back would see
+    // K subruns pass with no request answered and expel its peers.
+    let n = 5;
+    let everyone: Vec<usize> = (0..n).collect();
+    for (ms, seed) in [(100, 301), (300, 303), (600, 307)] {
+        let what = format!("{ms} ms freeze of the whole group");
+        let cfg = ProtocolConfig::new(n);
+        let group = UdpGroup::spawn(cfg, Duration::from_millis(5), 0.0, seed).unwrap();
+        let (mut handles, shutdown) = group.into_handles();
+        all_deliver(&mut handles, &everyone, 5, "warm-up");
+
+        freeze(&handles, &everyone, Duration::from_millis(ms));
+        all_deliver(&mut handles, &everyone, 20, &what);
+        // Twice K subruns later nobody has been expelled either.
+        std::thread::sleep(Duration::from_millis(60));
+        for (m, h) in handles.iter().enumerate() {
+            let status = h.status();
+            assert!(
+                status.as_ref().is_ok_and(|s| s.is_active()),
+                "{what}: member {m} is {status:?}"
+            );
+            assert!(h.net_stats().rounds_skipped > 0, "{what}: member {m}");
+        }
+        shutdown.shutdown();
+    }
+}
+
+#[test]
+fn a_member_frozen_alone_is_expelled_and_the_rest_carry_on() {
+    let _turn = wall_clock();
+    // The same freeze on one member is a crash as far as the others can
+    // tell: they must detect it within K subruns, as the paper has them.
+    let n = 5;
+    let survivors = [0, 2, 3, 4];
+    for (ms, seed) in [(100, 311), (300, 313), (600, 317)] {
+        let what = format!("{ms} ms freeze of member 1");
+        let cfg = ProtocolConfig::new(n);
+        let group = UdpGroup::spawn(cfg, Duration::from_millis(5), 0.0, seed).unwrap();
+        let (mut handles, shutdown) = group.into_handles();
+        all_deliver(&mut handles, &[0, 1, 2, 3, 4], 5, "warm-up");
+
+        freeze(&handles, &[1], Duration::from_millis(ms));
+        // Woken, member 1 learns it is out of the group — from the
+        // decisions that expelled it, or from its own count of decisions
+        // missed — and ends at its next round.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            match handles[1].next_event(wait) {
+                Some(AppEvent::StatusChanged(s)) if !s.is_active() => break,
+                Some(_) => {}
+                None => panic!("{what}: member 1 never left the group"),
+            }
+        }
+        while !matches!(handles[1].status(), Err(GroupError::ProcessGone)) {
+            assert!(Instant::now() < deadline, "{what}: member 1 still runs");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        all_deliver(&mut handles, &survivors, 20, &what);
+        for m in survivors {
+            let h = &handles[m];
+            assert!(h.status().unwrap().is_active(), "{what}: member {m}");
+            let sees_1 = h.with_engine(|e| e.view().is_alive(ProcessId(1))).unwrap();
+            assert!(!sees_1, "{what}: member {m} still counts member 1 in");
+        }
+        shutdown.shutdown();
+    }
+}
+
+#[test]
+fn a_message_submitted_at_spawn_is_not_held_for_the_first_tick() {
+    let _turn = wall_clock();
+    // 200 ms rounds: a round clock armed before the startup barrier, whose
+    // first round is a period away, holds this message for 200 ms.
+    let round = Duration::from_millis(200);
+    let budget = Duration::from_millis(50);
+    let cfg = ProtocolConfig::new(5);
+    let mut group = UdpGroup::spawn(cfg, round, 0.0, 47).unwrap();
+    let submitted = Instant::now();
+    let mid = group
+        .handle(0)
+        .submit(Bytes::from_static(b"first"), vec![])
+        .unwrap();
+    for m in 0..5 {
+        loop {
+            let left = (submitted + budget).saturating_duration_since(Instant::now());
+            match group.handle(m).next_event(left) {
+                Some(AppEvent::Delivered(msg)) => {
+                    assert_eq!(msg.mid, mid);
+                    break;
+                }
+                Some(_) => {}
+                None => panic!("member {m}: no delivery within {budget:?} of spawn"),
+            }
+        }
+    }
+    group.shutdown();
 }
