@@ -216,11 +216,6 @@ impl CbcastNode {
         &self.vc
     }
 
-    /// Whether delivery is currently frozen by a flush.
-    pub fn is_flushing(&self) -> bool {
-        self.flush.is_some()
-    }
-
     /// Number of completed view changes.
     pub fn view_changes(&self) -> u32 {
         self.view_changes

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use urcgc_history::History;
 use urcgc_simnet::{FaultPlan, NetCtx, Node, SimNet, SimOptions};
-use urcgc_types::{DataMsg, Mid, ProcessId, Round, Subrun};
+use urcgc_types::{tag, DataMsg, Mid, ProcessId, Round, Subrun};
 
 use crate::cbcast::Load;
 
@@ -88,12 +88,6 @@ pub enum UFrame {
     },
 }
 
-const TAG_DATA: u8 = 0x60;
-const TAG_BATCH: u8 = 0x61;
-const TAG_FETCH: u8 = 0x62;
-const TAG_FETCH_ORDER: u8 = 0x63;
-const TAG_DIGEST: u8 = 0x64;
-
 impl UFrame {
     /// Encodes the frame.
     pub fn encode(&self) -> Bytes {
@@ -105,7 +99,7 @@ impl UFrame {
                 round,
                 payload,
             } => {
-                b.put_u8(TAG_DATA);
+                b.put_u8(tag::URGC_DATA);
                 b.put_u16_le(sender.0);
                 b.put_u64_le(*seq);
                 b.put_u64_le(round.0);
@@ -117,7 +111,7 @@ impl UFrame {
                 first_order,
                 ids,
             } => {
-                b.put_u8(TAG_BATCH);
+                b.put_u8(tag::URGC_BATCH);
                 b.put_u64_le(subrun.0);
                 b.put_u64_le(*first_order);
                 b.put_u16_le(ids.len() as u16);
@@ -127,7 +121,7 @@ impl UFrame {
                 }
             }
             UFrame::Fetch { requester, id } => {
-                b.put_u8(TAG_FETCH);
+                b.put_u8(tag::URGC_FETCH);
                 b.put_u16_le(requester.0);
                 b.put_u16_le(id.0 .0);
                 b.put_u64_le(id.1);
@@ -136,12 +130,12 @@ impl UFrame {
                 requester,
                 from_order,
             } => {
-                b.put_u8(TAG_FETCH_ORDER);
+                b.put_u8(tag::URGC_FETCH_ORDER);
                 b.put_u16_le(requester.0);
                 b.put_u64_le(*from_order);
             }
             UFrame::Digest { sender, order_len } => {
-                b.put_u8(TAG_DIGEST);
+                b.put_u8(tag::URGC_DIGEST);
                 b.put_u16_le(sender.0);
                 b.put_u64_le(*order_len);
             }
@@ -155,7 +149,7 @@ impl UFrame {
             return None;
         }
         match f.get_u8() {
-            TAG_DATA => {
+            tag::URGC_DATA => {
                 if f.remaining() < 22 {
                     return None;
                 }
@@ -173,7 +167,7 @@ impl UFrame {
                     payload: f.split_to(len),
                 })
             }
-            TAG_BATCH => {
+            tag::URGC_BATCH => {
                 if f.remaining() < 18 {
                     return None;
                 }
@@ -196,7 +190,7 @@ impl UFrame {
                     ids,
                 })
             }
-            TAG_FETCH => {
+            tag::URGC_FETCH => {
                 if f.remaining() < 12 {
                     return None;
                 }
@@ -208,7 +202,7 @@ impl UFrame {
                     id: (p, s),
                 })
             }
-            TAG_FETCH_ORDER => {
+            tag::URGC_FETCH_ORDER => {
                 if f.remaining() < 10 {
                     return None;
                 }
@@ -219,7 +213,7 @@ impl UFrame {
                     from_order,
                 })
             }
-            TAG_DIGEST => {
+            tag::URGC_DIGEST => {
                 if f.remaining() < 10 {
                     return None;
                 }

@@ -19,8 +19,6 @@
 //! machines; the byte accounting (`*_bytes` metrics) and the allocation
 //! counts (`*_allocs` metrics) are exact and machine-independent.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -31,6 +29,7 @@ use urcgc_bench::hotpath::{
     recovery_storm, run_calendar, sample_msg, shared_clone_bytes, time_nanos,
 };
 use urcgc_bench::soak::{soak_faults, soak_members};
+use urcgc_metrics::alloc::CountingAlloc;
 use urcgc_metrics::Json;
 use urcgc_simnet::{FaultPlan, SimNet, SimOptions};
 use urcgc_types::wire::{frame_checksum, FRAME_TRAILER_LEN};
@@ -38,35 +37,14 @@ use urcgc_types::{
     decode_pdu, encode_pdu, fnv1a_32, FrameCache, Pdu, ProcessId, ProtocolConfig, Round, Subrun,
 };
 
-/// Counts heap allocations so the codec section reports *measured* rather
-/// than modeled allocation economics. Reallocation counts as one fresh
-/// allocation; frees are not tracked (the metric is allocator pressure).
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
 /// Heap allocations performed while running `f`.
 fn count_allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = CountingAlloc::calls();
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (CountingAlloc::calls() - before, out)
 }
 
 /// Heap allocations of one subrun of the control plane, per call.

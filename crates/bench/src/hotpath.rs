@@ -296,7 +296,7 @@ pub fn recovery_storm(n: usize, per_origin: u64, batched: bool) -> StormOutcome 
     use urcgc_types::{Decision, MaxProcessed, ProtocolConfig, Subrun};
 
     let cfg = if batched {
-        ProtocolConfig::new(n).with_batched_recovery()
+        ProtocolConfig::new(n)
     } else {
         ProtocolConfig::new(n).with_unbatched_recovery()
     };

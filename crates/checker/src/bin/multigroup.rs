@@ -11,35 +11,9 @@
 //! Smoke: `... --bin multigroup -- --profile smoke --jobs 3 --json mg.json`
 //! (256 groups; the CI gate.)
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicI64, Ordering};
-
 use urcgc_check::multigroup::{run_multigroup, MultigroupSpec};
+use urcgc_metrics::alloc::CountingAlloc;
 use urcgc_types::{GroupId, ProcessId, ProtocolConfig};
-
-/// Live-heap accounting for the idle-group residency measurement: `alloc`
-/// adds, `dealloc` subtracts, so a before/after delta is the net bytes a
-/// structure keeps alive.
-struct CountingAlloc;
-
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -164,12 +138,12 @@ fn parse_args(args: &[String]) -> Result<Opts, String> {
 /// delta by the group count.
 fn measure_idle_group_bytes(members: usize, sample: usize) -> f64 {
     let cfg = ProtocolConfig::new(members);
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let before = CountingAlloc::live();
     let mut node = urcgc::Node::new(ProcessId(0));
     for g in 0..sample as u32 {
         node.join(GroupId(g), cfg.clone()).expect("probe group");
     }
-    let after = LIVE_BYTES.load(Ordering::Relaxed);
+    let after = CountingAlloc::live();
     let delta = (after - before).max(0) as f64 / sample as f64;
     drop(node);
     delta

@@ -1372,7 +1372,7 @@ mod tests {
         // p2 lags on two origins whose most-updated holder is p0: batched
         // framing must emit ONE RecoveryBatchRq (instead of two
         // RecoveryRqs), and the served RecoveryBatch must heal both gaps.
-        let cfg = ProtocolConfig::new(N).with_batched_recovery();
+        let cfg = ProtocolConfig::new(N);
         let mut holder = Engine::new(ProcessId(0), cfg.clone());
         holder.submit(Bytes::from_static(b"a1"), &[]).unwrap();
         holder.begin_round(Round(0));

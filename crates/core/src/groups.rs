@@ -26,7 +26,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use urcgc_simnet::{FaultPlan, NetCtx, Node, SimNet, SimOptions};
 use urcgc_types::wire::encode_pdu_into;
 use urcgc_types::{
-    decode_pdu, DataMsg, FrameCache, Mid, Pdu, ProcessId, ProtocolConfig, Round, WireDecode,
+    decode_pdu, tag, DataMsg, FrameCache, Mid, Pdu, ProcessId, ProtocolConfig, Round, WireDecode,
     WireEncode,
 };
 
@@ -113,11 +113,6 @@ pub enum CsFrame {
     Diffusion(Arc<DataMsg>),
 }
 
-const TAG_URCGC: u8 = 0x40;
-const TAG_CLIENT_RQ: u8 = 0x41;
-const TAG_REPLY: u8 = 0x42;
-const TAG_DIFFUSION: u8 = 0x43;
-
 impl CsFrame {
     /// Appends the encoding of the frame to `b`.
     ///
@@ -126,22 +121,22 @@ impl CsFrame {
     pub fn encode_into(&self, b: &mut BytesMut) {
         match self {
             CsFrame::Urcgc(pdu) => {
-                b.put_u8(TAG_URCGC);
+                b.put_u8(tag::CS_URCGC);
                 encode_pdu_into(pdu, b);
             }
             CsFrame::ClientRq { req_id, payload } => {
-                b.put_u8(TAG_CLIENT_RQ);
+                b.put_u8(tag::CS_CLIENT_RQ);
                 b.put_u64_le(*req_id);
                 b.put_u32_le(payload.len() as u32);
                 b.put_slice(payload);
             }
             CsFrame::Reply { req_id, mid } => {
-                b.put_u8(TAG_REPLY);
+                b.put_u8(tag::CS_REPLY);
                 b.put_u64_le(*req_id);
                 mid.encode(b);
             }
             CsFrame::Diffusion(msg) => {
-                b.put_u8(TAG_DIFFUSION);
+                b.put_u8(tag::CS_DIFFUSION);
                 msg.encode(b);
             }
         }
@@ -161,8 +156,8 @@ impl CsFrame {
             return None;
         }
         match frame.get_u8() {
-            TAG_URCGC => decode_pdu(&frame).ok().map(CsFrame::Urcgc),
-            TAG_CLIENT_RQ => {
+            tag::CS_URCGC => decode_pdu(&frame).ok().map(CsFrame::Urcgc),
+            tag::CS_CLIENT_RQ => {
                 if frame.remaining() < 12 {
                     return None;
                 }
@@ -176,7 +171,7 @@ impl CsFrame {
                     payload: frame.split_to(len),
                 })
             }
-            TAG_REPLY => {
+            tag::CS_REPLY => {
                 if frame.remaining() < 18 {
                     return None;
                 }
@@ -184,7 +179,7 @@ impl CsFrame {
                 let mid = Mid::decode(&mut frame).ok()?;
                 Some(CsFrame::Reply { req_id, mid })
             }
-            TAG_DIFFUSION => Arc::decode(&mut frame).ok().map(CsFrame::Diffusion),
+            tag::CS_DIFFUSION => Arc::decode(&mut frame).ok().map(CsFrame::Diffusion),
             _ => None,
         }
     }

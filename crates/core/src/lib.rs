@@ -57,7 +57,6 @@ pub mod groups;
 pub mod node;
 pub mod output;
 pub mod sim;
-pub mod trace;
 
 pub use clock::{Clock, Deadlines, ManualClock, RoundPacer, WallClock};
 pub use engine::Engine;
@@ -65,7 +64,6 @@ pub use node::{Node, NodeError, NodeGauges};
 pub use output::{
     EngineGauges, EngineSnapshot, EngineStats, Output, ProcessStatus, StatusReason, SubmitError,
 };
-pub use trace::{TraceEvent, Tracer};
 
 pub use urcgc_types::{
     CausalityMode, DataMsg, Decision, GroupId, Mid, Pdu, ProcessId, ProtocolConfig, Round, Subrun,

@@ -798,15 +798,6 @@ impl GroupReport {
             .max()
             .unwrap_or(0)
     }
-
-    /// The history-length series of one process, in (rtd, len) form,
-    /// averaged over each subrun for plotting.
-    pub fn history_series_rtd(&self, p: ProcessId) -> Vec<(f64, f64)> {
-        self.history_series[p.index()]
-            .iter()
-            .map(|&(r, l)| (urcgc_simnet::rounds_to_rtd(r), l as f64))
-            .collect()
-    }
 }
 
 #[cfg(test)]

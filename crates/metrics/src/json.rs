@@ -396,13 +396,13 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = &bytes[*pos..];
-                let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                let c = s.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                // The run up to the next quote or escape: both are ASCII,
+                // so it ends on a char boundary of the &str input.
+                let mut runs = bytes[*pos..].split(|&b| b == b'"' || b == b'\\');
+                let run = std::str::from_utf8(runs.next().unwrap_or_default());
+                let run = run.map_err(|_| "invalid UTF-8 in string")?;
+                out.push_str(run);
+                *pos += run.len();
             }
         }
     }
@@ -474,6 +474,8 @@ mod tests {
             Some(25.0)
         );
         assert_eq!(doc.get("c").unwrap().as_str(), Some("A"));
+        let text = parse(r#""→ é\"x\n""#).unwrap();
+        assert_eq!(text.as_str(), Some("→ é\"x\n"));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * the history length over time — [`TimeSeries`] (Figures 6 a/b).
 //!
 //! [`Table`] renders the ASCII tables and series every `fig*`/`table*`
-//! binary prints.
+//! binary prints, and [`alloc::CountingAlloc`] counts heap traffic for the
+//! exact allocation figures.
 
 //! ```
 //! use urcgc_metrics::{DelayStats, Table, TrafficMeter};
@@ -31,6 +32,7 @@
 //! assert!(t.render().contains("mean D"));
 //! ```
 
+pub mod alloc;
 pub mod delay;
 pub mod json;
 pub mod schema;

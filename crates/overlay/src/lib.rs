@@ -29,4 +29,4 @@ pub mod plan;
 
 pub use dissem::{Disseminator, RelayDisposition};
 pub use plan::{OverlayConfig, OverlayMode, Plan};
-pub use urcgc_transport::relay::{is_relay_frame, RELAY_HEADER_LEN, RELAY_TAG};
+pub use urcgc_transport::relay::{is_relay_frame, RELAY_HEADER_LEN};

@@ -66,20 +66,13 @@ use rand_chacha::ChaCha8Rng;
 use urcgc::{
     Clock, Engine, EngineSnapshot, EngineStats, Node, Output, ProcessStatus, RoundPacer, WallClock,
 };
+use urcgc_types::tag::{HELLO, HELLO_ACK};
 use urcgc_types::{DataMsg, GroupId, Mid, ProcessId, ProtocolConfig, Round};
 
 use urcgc_transport::{TFrame, DATA_HEADER_LEN};
 
 use crate::frag::{Fragmenter, Reassembler};
 
-/// Magic first byte of the startup-barrier hello (never a valid PDU tag or
-/// transport-frame tag).
-const HELLO: u8 = 0xFF;
-/// First byte of the answer a member past its barrier gives to a hello.
-/// Inside a barrier it counts as presence like a hello; it is never itself
-/// answered — answering hellos with hellos made two members past their
-/// barriers echo each other for ever.
-const HELLO_ACK: u8 = 0xFE;
 /// Hello / hello-ack datagram: `[tag, pid_lo, pid_hi]`.
 const HELLO_LEN: usize = 3;
 /// How often the barrier re-bursts hellos.

@@ -9,43 +9,14 @@
 //! only as good as the frame trailer says. This file holds one test, so
 //! the process-wide allocation counter sees the reassembler alone.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicIsize, Ordering};
 use std::time::Duration;
 
 use bytes::Bytes;
 use urcgc::{Node, Output};
+use urcgc_metrics::alloc::CountingAlloc;
 use urcgc_runtime::{Fragmenter, Reassembler};
 use urcgc_transport::{TFrame, PARITY_HEADER_LEN};
 use urcgc_types::{DataMsg, GroupId, Mid, Pdu, ProcessId, ProtocolConfig, Round};
-
-/// Tracks the bytes currently held from the heap.
-struct CountingAlloc;
-
-static HELD: AtomicIsize = AtomicIsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        HELD.fetch_add(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: same layout, forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        HELD.fetch_sub(layout.size() as isize, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        HELD.fetch_add(
-            new_size as isize - layout.size() as isize,
-            Ordering::Relaxed,
-        );
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -88,11 +59,11 @@ fn fragment(xfer: u64, frag_index: u16, frag_count: u16, len: usize) -> Bytes {
 /// Feeds `datagrams` (none completes) and returns the heap bytes the
 /// reassembler holds for them afterwards.
 fn held_after(reasm: &mut Reassembler, datagrams: Vec<Bytes>) -> isize {
-    let before = HELD.load(Ordering::Relaxed);
+    let before = CountingAlloc::live();
     for datagram in datagrams {
         assert!(reasm.accept(datagram, Duration::ZERO).is_none());
     }
-    HELD.load(Ordering::Relaxed) - before
+    CountingAlloc::live() - before
 }
 
 /// Every shape the decoder must refuse: each costs one `malformed`, opens
@@ -242,11 +213,11 @@ fn a_transfer_holds_what_arrived_not_what_was_announced() {
     assert_eq!(on_the_wire, 20 * HOSTILE as usize);
 
     let mut reasm = Reassembler::new(Duration::from_secs(2));
-    let before = HELD.load(Ordering::Relaxed);
+    let before = CountingAlloc::live();
     for datagram in datagrams {
         assert!(reasm.accept(datagram, Duration::ZERO).is_none());
     }
-    let held = HELD.load(Ordering::Relaxed) - before;
+    let held = CountingAlloc::live() - before;
     assert_eq!(reasm.partials(), HOSTILE as usize, "each opened a transfer");
     assert!(
         held < 64 * 1024,

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use urcgc_types::ProcessId;
+use urcgc_types::{tag, ProcessId};
 
 /// A frame on the transport wire.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -54,11 +54,6 @@ pub enum TFrame {
         frames: Vec<Bytes>,
     },
 }
-
-const TAG_DATA: u8 = 0xD1;
-const TAG_PARITY: u8 = 0xD2;
-const TAG_ACK: u8 = 0xA1;
-const TAG_BATCH: u8 = 0xB7;
 
 /// Encoded size of a [`TFrame::Data`] header (tag + xfer + src +
 /// frag_index + frag_count + payload length). A fragment of payload size
@@ -182,7 +177,7 @@ fn xor_into(acc: &mut [u8], chunk: &[u8]) {
 }
 
 fn put_parity_header(b: &mut BytesMut, xfer: u64, src: ProcessId, frag_count: u16, frame_len: u32) {
-    b.put_u8(TAG_PARITY);
+    b.put_u8(tag::T_PARITY);
     b.put_u64_le(xfer);
     b.put_u16_le(src.0);
     b.put_u16_le(frag_count);
@@ -201,7 +196,7 @@ impl TFrame {
                 payload,
             } => {
                 let mut b = BytesMut::with_capacity(1 + 8 + 2 + 2 + 2 + 4 + payload.len());
-                b.put_u8(TAG_DATA);
+                b.put_u8(tag::T_DATA);
                 b.put_u64_le(*xfer);
                 b.put_u16_le(src.0);
                 b.put_u16_le(*frag_index);
@@ -224,19 +219,19 @@ impl TFrame {
             }
             TFrame::Ack { xfer, src } => {
                 let mut b = BytesMut::with_capacity(1 + 8 + 2);
-                b.put_u8(TAG_ACK);
+                b.put_u8(tag::T_ACK);
                 b.put_u64_le(*xfer);
                 b.put_u16_le(src.0);
                 b.freeze()
             }
             TFrame::Batch { frames } => {
                 debug_assert!(
-                    frames.iter().all(|f| f.first() != Some(&TAG_BATCH)),
+                    frames.iter().all(|f| f.first() != Some(&tag::T_BATCH)),
                     "batches must not nest"
                 );
                 let body: usize = frames.iter().map(|f| 4 + f.len()).sum();
                 let mut b = BytesMut::with_capacity(1 + 2 + body);
-                b.put_u8(TAG_BATCH);
+                b.put_u8(tag::T_BATCH);
                 b.put_u16_le(frames.len() as u16);
                 for f in frames {
                     b.put_u32_le(f.len() as u32);
@@ -253,7 +248,7 @@ impl TFrame {
             return None;
         }
         match frame.get_u8() {
-            TAG_DATA => {
+            tag::T_DATA => {
                 if frame.remaining() < 8 + 2 + 2 + 2 + 4 {
                     return None;
                 }
@@ -274,7 +269,7 @@ impl TFrame {
                     payload,
                 })
             }
-            TAG_PARITY => {
+            tag::T_PARITY => {
                 if frame.remaining() < PARITY_HEADER_LEN - 1 {
                     return None;
                 }
@@ -301,7 +296,7 @@ impl TFrame {
                     xor: frame,
                 })
             }
-            TAG_ACK => {
+            tag::T_ACK => {
                 if frame.remaining() < 10 {
                     return None;
                 }
@@ -309,7 +304,7 @@ impl TFrame {
                 let src = ProcessId(frame.get_u16_le());
                 Some(TFrame::Ack { xfer, src })
             }
-            TAG_BATCH => {
+            tag::T_BATCH => {
                 if frame.remaining() < 2 {
                     return None;
                 }
@@ -325,7 +320,7 @@ impl TFrame {
                     }
                     let inner = frame.split_to(len);
                     // One level only: a nested batch is malformed.
-                    if inner.first() == Some(&TAG_BATCH) {
+                    if inner.first() == Some(&tag::T_BATCH) {
                         return None;
                     }
                     frames.push(inner);

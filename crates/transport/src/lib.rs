@@ -56,5 +56,5 @@ pub use entity::{TOutput, TransportConfig, TransportEntity, XferId};
 pub use frame::{fragment, parity, rebuild, TFrame, DATA_HEADER_LEN, PARITY_HEADER_LEN};
 pub use relay::{
     decode_relay, encode_relay, encode_relay_into, is_relay_frame, RelayError, RelayFrame,
-    RelaySeen, RELAY_HEADER_LEN, RELAY_RESIDUE_MAX, RELAY_TAG,
+    RelaySeen, RELAY_HEADER_LEN, RELAY_RESIDUE_MAX,
 };

@@ -18,12 +18,7 @@
 use std::collections::BTreeSet;
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use urcgc_types::{fnv1a_32, ProcessId};
-
-/// First byte of every relay envelope. Distinct from the engine PDU tags
-/// (1–7) and the t-service frame tags (`0xD1`/`0xA1`/`0xB7`) so a relay
-/// frame is recognizable from its first byte on any shared wire.
-pub const RELAY_TAG: u8 = 0xE7;
+use urcgc_types::{fnv1a_32, tag, ProcessId};
 
 /// Encoded envelope header size: tag + origin + seq + header checksum.
 pub const RELAY_HEADER_LEN: usize = 1 + 2 + 8 + 4;
@@ -49,7 +44,7 @@ pub struct RelayFrame {
 pub enum RelayError {
     /// Shorter than a header, or not a relay frame at all.
     Truncated,
-    /// First byte is not [`RELAY_TAG`].
+    /// First byte is not [`tag::RELAY`].
     BadTag(u8),
     /// Header checksum mismatch (corruption in flight).
     BadChecksum,
@@ -58,7 +53,7 @@ pub enum RelayError {
 /// Whether `frame` looks like a relay envelope (cheap first-byte probe; the
 /// checksum is verified by [`decode_relay`]).
 pub fn is_relay_frame(frame: &[u8]) -> bool {
-    frame.first() == Some(&RELAY_TAG)
+    frame.first() == Some(&tag::RELAY)
 }
 
 /// Encodes an envelope into `buf` (header + inner bytes). The inner frame
@@ -66,7 +61,7 @@ pub fn is_relay_frame(frame: &[u8]) -> bool {
 /// the resulting [`Bytes`] handle.
 pub fn encode_relay_into(origin: ProcessId, seq: u64, inner: &[u8], buf: &mut BytesMut) {
     let start = buf.len();
-    buf.put_u8(RELAY_TAG);
+    buf.put_u8(tag::RELAY);
     buf.put_u16_le(origin.0);
     buf.put_u64_le(seq);
     let sum = header_checksum(&buf[start..start + 11]);
@@ -87,7 +82,7 @@ pub fn decode_relay(frame: &Bytes) -> Result<RelayFrame, RelayError> {
     if frame.len() < RELAY_HEADER_LEN {
         return Err(RelayError::Truncated);
     }
-    if frame[0] != RELAY_TAG {
+    if frame[0] != tag::RELAY {
         return Err(RelayError::BadTag(frame[0]));
     }
     let carried = u32::from_le_bytes(frame[11..15].try_into().expect("4 bytes"));

@@ -68,7 +68,7 @@ pub struct ProtocolConfig {
     /// and holders answer with one `RecoveryBatch` frame per requester
     /// instead of one `RecoveryReply` per origin — 98× fewer recovery
     /// frames at `n = 100` for identical healing behaviour. Set to `false`
-    /// (via [`ProtocolConfigBuilder::batched_recovery`]) to reproduce the
+    /// (via [`ProtocolConfig::with_unbatched_recovery`]) to reproduce the
     /// paper's literal per-origin framing; the digest-gated experiment
     /// documents were re-pinned when this default flipped.
     pub batched_recovery: bool,
@@ -106,36 +106,12 @@ impl ProtocolConfig {
         }
     }
 
-    /// A checked builder over the same parameters. Unlike the `with_*`
-    /// combinators, [`ProtocolConfigBuilder::build`] validates the result —
-    /// including the resilience bound `f ≤ t = (n−1)/2` — so misconfigured
-    /// deployments fail at construction instead of at the first round.
-    pub fn builder(n: usize) -> ProtocolConfigBuilder {
-        ProtocolConfigBuilder {
-            n,
-            k: 3,
-            f: 1,
-            r: None,
-            history_threshold: None,
-            causality: CausalityMode::default(),
-            batched_recovery: true,
-        }
-    }
-
     /// Enables the deliberate purge-before-stability bug (checker-only; see
     /// the field docs).
     #[cfg(feature = "checker-knobs")]
     #[doc(hidden)]
     pub fn with_broken_purge_before_stability(mut self) -> Self {
         self.broken_purge_before_stability = true;
-        self
-    }
-
-    /// Enables batched recovery framing (one request/reply PDU per peer
-    /// instead of one per origin). A no-op since batching became the
-    /// default; kept so call sites can state the intent explicitly.
-    pub fn with_batched_recovery(mut self) -> Self {
-        self.batched_recovery = true;
         self
     }
 
@@ -228,109 +204,7 @@ impl ProtocolConfig {
     }
 }
 
-/// Checked construction of a [`ProtocolConfig`].
-///
-/// Produced by [`ProtocolConfig::builder`]. Setters mirror the `with_*`
-/// combinators but defer all derivation and checking to [`build`]
-/// (`ProtocolConfigBuilder::build`), which additionally enforces the
-/// resilience bound of Section 4: the coordinator-crash allowance `f` must
-/// not exceed `t = (n−1)/2`, the largest number of per-subrun failures under
-/// which decision circulation is still guaranteed.
-///
-/// ```
-/// use urcgc_types::{ConfigError, ProtocolConfig};
-///
-/// let cfg = ProtocolConfig::builder(10).k(2).f_allowance(3).build().unwrap();
-/// assert_eq!(cfg.r, 2 * 2 + 3 + 1);
-///
-/// // n = 3 tolerates t = 1 failure per subrun; f = 2 exceeds it.
-/// let err = ProtocolConfig::builder(3).f_allowance(2).build().unwrap_err();
-/// assert!(matches!(err, ConfigError::FExceedsResilience { .. }));
-/// ```
-#[derive(Clone, Debug)]
-pub struct ProtocolConfigBuilder {
-    n: usize,
-    k: u32,
-    f: u32,
-    r: Option<u32>,
-    history_threshold: Option<usize>,
-    causality: CausalityMode,
-    batched_recovery: bool,
-}
-
-impl ProtocolConfigBuilder {
-    /// Sets the failure-detection bound `K`.
-    pub fn k(mut self, k: u32) -> Self {
-        self.k = k;
-        self
-    }
-
-    /// Sets the coordinator-crash allowance `f`.
-    pub fn f_allowance(mut self, f: u32) -> Self {
-        self.f = f;
-        self
-    }
-
-    /// Sets an explicit recovery bound `R`. When unset, `build` derives the
-    /// minimal valid value `2K + f + 1`.
-    pub fn r(mut self, r: u32) -> Self {
-        self.r = Some(r);
-        self
-    }
-
-    /// Enables flow control with an explicit history threshold.
-    pub fn history_threshold(mut self, threshold: usize) -> Self {
-        self.history_threshold = Some(threshold);
-        self
-    }
-
-    /// Enables the distributed flow control of Figure 6 b) with the paper's
-    /// `8n` threshold.
-    pub fn paper_flow_control(mut self) -> Self {
-        self.history_threshold = Some(8 * self.n);
-        self
-    }
-
-    /// Sets the causality interpretation.
-    pub fn causality(mut self, mode: CausalityMode) -> Self {
-        self.causality = mode;
-        self
-    }
-
-    /// Enables batched recovery framing.
-    pub fn batched_recovery(mut self, on: bool) -> Self {
-        self.batched_recovery = on;
-        self
-    }
-
-    /// Derives any unset parameters and validates the whole configuration,
-    /// including the resilience bound `f ≤ (n−1)/2`.
-    pub fn build(self) -> Result<ProtocolConfig, ConfigError> {
-        let cfg = ProtocolConfig {
-            n: self.n,
-            k: self.k,
-            r: self.r.unwrap_or(2 * self.k + self.f + 1),
-            max_coordinator_crashes: self.f,
-            history_threshold: self.history_threshold,
-            causality: self.causality,
-            batched_recovery: self.batched_recovery,
-            #[cfg(feature = "checker-knobs")]
-            broken_purge_before_stability: false,
-        };
-        cfg.validate()?;
-        let t = cfg.resilience();
-        if cfg.max_coordinator_crashes as usize > t {
-            return Err(ConfigError::FExceedsResilience {
-                f: cfg.max_coordinator_crashes,
-                resilience: t,
-            });
-        }
-        Ok(cfg)
-    }
-}
-
-/// Structural-parameter violations detected by [`ProtocolConfig::validate`]
-/// and [`ProtocolConfigBuilder::build`].
+/// Structural-parameter violations detected by [`ProtocolConfig::validate`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {
     /// `n == 0`.
@@ -345,15 +219,6 @@ pub enum ConfigError {
         /// `R` must strictly exceed this value.
         min_exclusive: u32,
     },
-    /// `f > (n−1)/2`: the deployment is sized for more consecutive
-    /// coordinator crashes per subrun than the group can ride out
-    /// (builder-only check; `validate` keeps the paper's lenient surface).
-    FExceedsResilience {
-        /// Configured `f` allowance.
-        f: u32,
-        /// The resilience degree `t = (n−1)/2` it must not exceed.
-        resilience: usize,
-    },
 }
 
 impl fmt::Display for ConfigError {
@@ -364,11 +229,6 @@ impl fmt::Display for ConfigError {
             ConfigError::RTooSmall { r, min_exclusive } => write!(
                 f,
                 "recovery bound R = {r} must strictly exceed 2K + f = {min_exclusive}"
-            ),
-            ConfigError::FExceedsResilience { f: fa, resilience } => write!(
-                f,
-                "coordinator-crash allowance f = {fa} exceeds the resilience \
-                 degree t = (n-1)/2 = {resilience}"
             ),
         }
     }
@@ -444,77 +304,16 @@ mod tests {
         let err = ProtocolConfig::new(4).with_r(3).validate().unwrap_err();
         let text = err.to_string();
         assert!(text.contains("R = 3"), "got: {text}");
-        let err = ProtocolConfig::builder(3)
-            .f_allowance(2)
-            .build()
-            .unwrap_err();
-        assert!(err.to_string().contains("f = 2"), "got: {err}");
-    }
-
-    #[test]
-    fn builder_matches_combinator_construction() {
-        let built = ProtocolConfig::builder(10)
-            .k(5)
-            .f_allowance(2)
-            .paper_flow_control()
-            .causality(CausalityMode::Temporal)
-            .build()
-            .unwrap();
-        let combined = ProtocolConfig::new(10)
-            .with_k(5)
-            .with_f_allowance(2)
-            .with_paper_flow_control()
-            .with_causality(CausalityMode::Temporal);
-        assert_eq!(built, combined);
-    }
-
-    #[test]
-    fn builder_enforces_the_resilience_bound_at_build_time() {
-        // The lenient combinator surface accepts f > t…
-        let lenient = ProtocolConfig::new(3).with_f_allowance(2);
-        assert!(lenient.validate().is_ok());
-        // …but the builder rejects it before the group ever runs a round.
-        assert_eq!(
-            ProtocolConfig::builder(3).f_allowance(2).build(),
-            Err(ConfigError::FExceedsResilience {
-                f: 2,
-                resilience: 1
-            })
-        );
-        // f == t is the largest accepted allowance.
-        assert!(ProtocolConfig::builder(5).f_allowance(2).build().is_ok());
-    }
-
-    #[test]
-    fn builder_derives_minimal_r_unless_overridden() {
-        let cfg = ProtocolConfig::builder(10)
-            .k(4)
-            .f_allowance(3)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.r, 2 * 4 + 3 + 1);
-        let cfg = ProtocolConfig::builder(10).r(40).build().unwrap();
-        assert_eq!(cfg.r, 40);
-        assert!(matches!(
-            ProtocolConfig::builder(10).r(3).build(),
-            Err(ConfigError::RTooSmall { r: 3, .. })
-        ));
     }
 
     #[test]
     fn batched_recovery_defaults_on() {
         assert!(ProtocolConfig::new(5).batched_recovery);
-        assert!(ProtocolConfig::builder(5).build().unwrap().batched_recovery);
         // Per-origin framing remains reachable for paper-literal runs.
         assert!(
             !ProtocolConfig::new(5)
                 .with_unbatched_recovery()
                 .batched_recovery
         );
-        let cfg = ProtocolConfig::builder(5)
-            .batched_recovery(false)
-            .build()
-            .unwrap();
-        assert!(!cfg.batched_recovery);
     }
 }

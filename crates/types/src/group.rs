@@ -20,14 +20,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crate::fnv::fnv1a_32;
 use crate::id::GroupId;
 use crate::pdu::Pdu;
+use crate::tag;
 use crate::wire::{encode_pdu_into, FrameCache, FRAME_TRAILER_LEN};
-
-/// First byte of every group envelope. Distinct from the engine PDU tags
-/// (1–7), the client/server frame tags (`0x40`–`0x43`), the t-service
-/// frame tags (`0xD1`/`0xA1`/`0xB7`), and the relay envelope (`0xE7`), so
-/// a group-tagged frame is recognizable from its first byte on any shared
-/// wire.
-pub const GROUP_TAG: u8 = 0x67;
 
 /// Encoded envelope header size: tag + group id + header checksum.
 pub const GROUP_HEADER_LEN: usize = 1 + 4 + 4;
@@ -48,7 +42,7 @@ pub struct GroupFrame {
 pub enum GroupEnvelopeError {
     /// Shorter than a header.
     Truncated,
-    /// First byte is not [`GROUP_TAG`].
+    /// First byte is not [`tag::GROUP`].
     BadTag(u8),
     /// Header checksum mismatch (corruption in flight).
     BadChecksum,
@@ -69,14 +63,14 @@ impl std::error::Error for GroupEnvelopeError {}
 /// Whether `frame` looks like a group envelope (cheap first-byte probe; the
 /// checksum is verified by [`group_of`] / [`decode_group`]).
 pub fn is_group_frame(frame: &[u8]) -> bool {
-    frame.first() == Some(&GROUP_TAG)
+    frame.first() == Some(&tag::GROUP)
 }
 
 /// Writes the envelope header for `group` into `buf` (tag, group id,
 /// header checksum). The inner frame follows immediately after.
 fn put_group_header(group: GroupId, buf: &mut BytesMut) {
     let start = buf.len();
-    buf.put_u8(GROUP_TAG);
+    buf.put_u8(tag::GROUP);
     buf.put_u32_le(group.0);
     let sum = fnv1a_32(&buf[start..start + 5]);
     buf.put_u32_le(sum);
@@ -105,7 +99,7 @@ pub fn group_of(frame: &[u8]) -> Result<GroupId, GroupEnvelopeError> {
     if frame.len() < GROUP_HEADER_LEN {
         return Err(GroupEnvelopeError::Truncated);
     }
-    if frame[0] != GROUP_TAG {
+    if frame[0] != tag::GROUP {
         return Err(GroupEnvelopeError::BadTag(frame[0]));
     }
     let carried = u32::from_le_bytes(frame[5..9].try_into().expect("4 bytes"));

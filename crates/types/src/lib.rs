@@ -31,16 +31,17 @@ pub mod fnv;
 pub mod group;
 pub mod id;
 pub mod pdu;
+pub mod tag;
 pub mod view;
 pub mod wire;
 
-pub use config::{CausalityMode, ConfigError, ProtocolConfig, ProtocolConfigBuilder};
+pub use config::{CausalityMode, ConfigError, ProtocolConfig};
 pub use decision::{Decision, MaxProcessed};
 pub use error::WireError;
 pub use fnv::{fnv1a_32, fnv1a_64, Fnv32, Fnv64};
 pub use group::{
     decode_group, encode_group, group_of, is_group_frame, GroupEnvelopeError, GroupFrame,
-    GROUP_HEADER_LEN, GROUP_TAG,
+    GROUP_HEADER_LEN,
 };
 pub use id::{GroupId, Mid, ProcessId, Round, Subrun, NO_SEQ};
 pub use pdu::{

@@ -25,6 +25,7 @@ use crate::pdu::{
     DataMsg, Pdu, RecoveryBatch, RecoveryBatchRq, RecoveryReply, RecoveryRq, RecoveryRun,
     RecoveryWant, RequestMsg,
 };
+use crate::tag;
 
 /// Sanity bound on decoded vector lengths (group-sized vectors and
 /// dependency lists are tiny; recovery replies are bounded by history size).
@@ -727,14 +728,6 @@ impl WireDecode for RecoveryBatch {
     }
 }
 
-const TAG_DATA: u8 = 1;
-const TAG_REQUEST: u8 = 2;
-const TAG_DECISION: u8 = 3;
-const TAG_RECOVERY_RQ: u8 = 4;
-const TAG_RECOVERY_REPLY: u8 = 5;
-const TAG_RECOVERY_BATCH_RQ: u8 = 6;
-const TAG_RECOVERY_BATCH: u8 = 7;
-
 /// Peeks the PDU kind of an encoded frame from its leading tag byte
 /// without decoding (or checksum-verifying) the body. Relay layers use
 /// this to classify frames they carry opaquely; `None` means the tag is
@@ -742,11 +735,11 @@ const TAG_RECOVERY_BATCH: u8 = 7;
 pub fn frame_kind(frame: &[u8]) -> Option<crate::pdu::PduKind> {
     use crate::pdu::PduKind;
     match frame.first()? {
-        &TAG_DATA => Some(PduKind::Data),
-        &TAG_REQUEST => Some(PduKind::Request),
-        &TAG_DECISION => Some(PduKind::Decision),
-        &TAG_RECOVERY_RQ | &TAG_RECOVERY_BATCH_RQ => Some(PduKind::RecoveryRq),
-        &TAG_RECOVERY_REPLY | &TAG_RECOVERY_BATCH => Some(PduKind::RecoveryReply),
+        &tag::DATA => Some(PduKind::Data),
+        &tag::REQUEST => Some(PduKind::Request),
+        &tag::DECISION => Some(PduKind::Decision),
+        &tag::RECOVERY_RQ | &tag::RECOVERY_BATCH_RQ => Some(PduKind::RecoveryRq),
+        &tag::RECOVERY_REPLY | &tag::RECOVERY_BATCH => Some(PduKind::RecoveryReply),
         _ => None,
     }
 }
@@ -755,31 +748,31 @@ impl WireEncode for Pdu {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
             Pdu::Data(m) => {
-                buf.put_u8(TAG_DATA);
+                buf.put_u8(tag::DATA);
                 m.encode(buf);
             }
             Pdu::Request(m) => {
-                buf.put_u8(TAG_REQUEST);
+                buf.put_u8(tag::REQUEST);
                 m.encode(buf);
             }
             Pdu::Decision(m) => {
-                buf.put_u8(TAG_DECISION);
+                buf.put_u8(tag::DECISION);
                 m.encode(buf);
             }
             Pdu::RecoveryRq(m) => {
-                buf.put_u8(TAG_RECOVERY_RQ);
+                buf.put_u8(tag::RECOVERY_RQ);
                 m.encode(buf);
             }
             Pdu::RecoveryReply(m) => {
-                buf.put_u8(TAG_RECOVERY_REPLY);
+                buf.put_u8(tag::RECOVERY_REPLY);
                 m.encode(buf);
             }
             Pdu::RecoveryBatchRq(m) => {
-                buf.put_u8(TAG_RECOVERY_BATCH_RQ);
+                buf.put_u8(tag::RECOVERY_BATCH_RQ);
                 m.encode(buf);
             }
             Pdu::RecoveryBatch(m) => {
-                buf.put_u8(TAG_RECOVERY_BATCH);
+                buf.put_u8(tag::RECOVERY_BATCH);
                 m.encode(buf);
             }
         }
@@ -800,13 +793,13 @@ impl WireEncode for Pdu {
 impl WireDecode for Pdu {
     fn decode(buf: &mut Bytes) -> Result<Self, WireError> {
         match u8::decode(buf)? {
-            TAG_DATA => Ok(Pdu::Data(Arc::decode(buf)?)),
-            TAG_REQUEST => Ok(Pdu::Request(RequestMsg::decode(buf)?)),
-            TAG_DECISION => Ok(Pdu::Decision(Arc::decode(buf)?)),
-            TAG_RECOVERY_RQ => Ok(Pdu::RecoveryRq(RecoveryRq::decode(buf)?)),
-            TAG_RECOVERY_REPLY => Ok(Pdu::RecoveryReply(RecoveryReply::decode(buf)?)),
-            TAG_RECOVERY_BATCH_RQ => Ok(Pdu::RecoveryBatchRq(RecoveryBatchRq::decode(buf)?)),
-            TAG_RECOVERY_BATCH => Ok(Pdu::RecoveryBatch(RecoveryBatch::decode(buf)?)),
+            tag::DATA => Ok(Pdu::Data(Arc::decode(buf)?)),
+            tag::REQUEST => Ok(Pdu::Request(RequestMsg::decode(buf)?)),
+            tag::DECISION => Ok(Pdu::Decision(Arc::decode(buf)?)),
+            tag::RECOVERY_RQ => Ok(Pdu::RecoveryRq(RecoveryRq::decode(buf)?)),
+            tag::RECOVERY_REPLY => Ok(Pdu::RecoveryReply(RecoveryReply::decode(buf)?)),
+            tag::RECOVERY_BATCH_RQ => Ok(Pdu::RecoveryBatchRq(RecoveryBatchRq::decode(buf)?)),
+            tag::RECOVERY_BATCH => Ok(Pdu::RecoveryBatch(RecoveryBatch::decode(buf)?)),
             tag => Err(WireError::BadTag {
                 context: "Pdu",
                 tag,
@@ -1131,7 +1124,7 @@ mod tests {
         // by an allocation attempt (sealed so the check under test is the
         // length bound, not the checksum).
         let mut body = BytesMut::new();
-        body.put_u8(super::TAG_RECOVERY_REPLY);
+        body.put_u8(crate::tag::RECOVERY_REPLY);
         body.put_u16_le(0); // responder
         body.put_u16_le(0); // origin
         body.put_u32_le(1 << 31); // messages length

@@ -7,36 +7,10 @@
 //! 32 MiB (`Vec<RecoveryRun>`) allocation. This file holds one test, so
 //! the process-wide allocation counter sees the decoder alone.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use bytes::Bytes;
+use urcgc_metrics::alloc::CountingAlloc;
 use urcgc_types::wire::{frame_checksum, MAX_VEC_LEN};
 use urcgc_types::{decode_pdu, WireError};
-
-/// Sums the bytes requested from the heap (reallocations at their new size).
-struct CountingAlloc;
-
-static REQUESTED: AtomicUsize = AtomicUsize::new(0);
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size(), Ordering::Relaxed);
-        // SAFETY: same layout, forwarded as received.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        REQUESTED.fetch_add(new_size, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with this layout.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
 
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
@@ -131,9 +105,9 @@ fn a_hostile_vector_count_allocates_no_more_than_the_frame_could_hold() {
         // The count alone, and the count with a few bytes behind it.
         for tail in [&[][..], &[0u8; 7][..]] {
             let frame = seal(&concat(&[&head, &hostile, tail]));
-            let before = REQUESTED.load(Ordering::Relaxed);
+            let before = CountingAlloc::requested();
             let result = decode_pdu(&frame);
-            let requested = REQUESTED.load(Ordering::Relaxed) - before;
+            let requested = CountingAlloc::requested() - before;
             assert!(
                 matches!(result, Err(WireError::UnexpectedEof { .. })),
                 "{name}: {result:?}"
